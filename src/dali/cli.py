@@ -49,6 +49,22 @@ def _load_validated(path):
     return program
 
 
+def _positive_int(text: str, what: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise DaliError(f"{what} must be an integer, got {text!r}") from None
+    if value < 1:
+        raise DaliError(f"{what} must be >= 1, got {value}")
+    return value
+
+
+def _env_max_steps() -> int | None:
+    """The DALI_MAX_STEPS step budget, or None when it is unset."""
+    text = os.environ.get("DALI_MAX_STEPS")
+    return _positive_int(text, "DALI_MAX_STEPS") if text else None
+
+
 def _strategy(spec: str | None) -> Strategy:
     kwargs = {}
     if spec:
@@ -56,14 +72,14 @@ def _strategy(spec: str | None) -> Strategy:
             key, _, value = part.partition("=")
             key = key.strip()
             if key == "k":
-                kwargs["event_check_period"] = int(value)
+                kwargs["event_check_period"] = _positive_int(value, "strategy k")
             elif key == "m":
-                kwargs["internal_check_period"] = int(value)
+                kwargs["internal_check_period"] = _positive_int(value, "strategy m")
             else:
                 raise DaliError(f"unknown strategy field {key!r} (use k=..,m=..)")
-    env_budget = os.environ.get("DALI_MAX_STEPS")
-    if env_budget:
-        kwargs["max_steps"] = int(env_budget)
+    max_steps = _env_max_steps()
+    if max_steps is not None:
+        kwargs["max_steps"] = max_steps
     return Strategy(**kwargs)
 
 
@@ -77,10 +93,12 @@ def _write_trace(trace, path) -> None:
 def cmd_run(args) -> int:
     config = load_system_config(args.sysconfig)
     if args.max_ticks is not None:
+        if args.max_ticks < 0:
+            raise DaliError(f"--max-ticks must be >= 0, got {args.max_ticks}")
         config.max_ticks = args.max_ticks
-    env_budget = os.environ.get("DALI_MAX_STEPS")
-    if env_budget:
-        config.budget = int(env_budget)
+    max_steps = _env_max_steps()
+    if max_steps is not None:
+        config.budget = max_steps
     runner = SystemRunner(config)
     result = runner.run()
     for w in result.warnings:
@@ -140,8 +158,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_repl(args) -> int:
     config = load_system_config(args.sysconfig)
-    env_budget = os.environ.get("DALI_MAX_STEPS")
-    budget = int(env_budget) if env_budget else 1000
+    budget = _env_max_steps() or 1000
     runner = SystemRunner(config)
     print(f"agents: {', '.join(runner.engines)}  (inject/step/state/query/quit)")
     while True:
@@ -165,7 +182,7 @@ def cmd_repl(args) -> int:
                 runner.inject(rest[0], rest[1])
                 print(f"injected {rest[1]} -> {rest[0]}")
             elif cmd == "step":
-                n = int(rest[0]) if rest else 1
+                n = _positive_int(rest[0], "step count") if rest else 1
                 done = 0
                 for _ in range(n):
                     if runner.micro_step() is None:

@@ -11,7 +11,7 @@ what is pending.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 # Atom markers.
 PLAIN = "plain"
@@ -109,7 +109,9 @@ class AgentProgram:
 
     Role sets keep declaration order (it drives the interpreter's
     round-robin over internal events) but behave as sets: duplicates are
-    dropped on construction.
+    dropped on construction.  The program is immutable, so the name sets
+    and the head-name clause indexes are built once, here, and are not
+    part of equality, hashing or repr.
     """
 
     name: str
@@ -117,53 +119,56 @@ class AgentProgram:
     externals: tuple[Atom, ...] = ()
     internals: tuple[Atom, ...] = ()
     actions: tuple[Atom, ...] = ()
+    external_names: frozenset[str] = field(init=False, repr=False, compare=False)
+    internal_names: frozenset[str] = field(init=False, repr=False, compare=False)
+    action_names: frozenset[str] = field(init=False, repr=False, compare=False)
+    event_names: frozenset[str] = field(init=False, repr=False, compare=False)
+    _reactive: dict[str, Clause] = field(init=False, repr=False, compare=False)
+    _action: dict[str, Clause] = field(init=False, repr=False, compare=False)
+    _defining: dict[str, tuple[Clause, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        object.__setattr__(self, "clauses", tuple(self.clauses))
-        object.__setattr__(self, "externals", _dedupe(self.externals))
-        object.__setattr__(self, "internals", _dedupe(self.internals))
-        object.__setattr__(self, "actions", _dedupe(self.actions))
-
-    # -- role membership ------------------------------------------------
-
-    @property
-    def external_names(self) -> frozenset[str]:
-        return frozenset(a.name for a in self.externals)
-
-    @property
-    def internal_names(self) -> frozenset[str]:
-        return frozenset(a.name for a in self.internals)
-
-    @property
-    def action_names(self) -> frozenset[str]:
-        return frozenset(a.name for a in self.actions)
-
-    @property
-    def event_names(self) -> frozenset[str]:
-        return self.external_names | self.internal_names
+        setattr_ = object.__setattr__
+        setattr_(self, "clauses", tuple(self.clauses))
+        setattr_(self, "externals", _dedupe(self.externals))
+        setattr_(self, "internals", _dedupe(self.internals))
+        setattr_(self, "actions", _dedupe(self.actions))
+        ext = frozenset(a.name for a in self.externals)
+        internal = frozenset(a.name for a in self.internals)
+        setattr_(self, "external_names", ext)
+        setattr_(self, "internal_names", internal)
+        setattr_(self, "action_names", frozenset(a.name for a in self.actions))
+        setattr_(self, "event_names", ext | internal)
+        # The first reactive or action rule per head wins, in program
+        # order; validation reports any later one.
+        reactive: dict[str, Clause] = {}
+        action: dict[str, Clause] = {}
+        defining: dict[str, list[Clause]] = {}
+        for c in self.clauses:
+            if c.kind == REACTIVE:
+                reactive.setdefault(c.head.name, c)
+                continue
+            if c.kind == ACTION:
+                action.setdefault(c.head.name, c)
+            defining.setdefault(c.head.name, []).append(c)
+        setattr_(self, "_reactive", reactive)
+        setattr_(self, "_action", action)
+        setattr_(self, "_defining", {h: tuple(cs) for h, cs in defining.items()})
 
     # -- clause lookup ----------------------------------------------------
 
     def reactive_clause(self, name: str) -> Clause | None:
-        for c in self.clauses:
-            if c.kind == REACTIVE and c.head.name == name:
-                return c
-        return None
+        return self._reactive.get(name)
 
     def action_clause(self, name: str) -> Clause | None:
-        for c in self.clauses:
-            if c.kind == ACTION and c.head.name == name:
-                return c
-        return None
+        return self._action.get(name)
 
     def defining_clauses(self, name: str) -> tuple[Clause, ...]:
         """Clauses usable to prove `name`: ordinary rules and the action
         rule, in program order.  Reactive clauses never prove their head."""
-        return tuple(
-            c
-            for c in self.clauses
-            if c.head.name == name and c.kind in (ORDINARY, ACTION)
-        )
+        return self._defining.get(name, ())
 
     # -- derived marker sets (never declared) ---------------------------
 

@@ -47,16 +47,23 @@ class ChannelMapping:
     """Routes (producer, action) to a per-consumer external event name.
 
     Unmapped pairs fall back to the identity: the event keeps the
-    action's name.
+    action's name.  When entries repeat a (producer, action, consumer)
+    triple, the first one wins.
     """
 
     entries: tuple[tuple[str, str, str, str], ...] = ()  # producer, action, consumer, event
+    _index: dict[tuple[str, str, str], str] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        index: dict[tuple[str, str, str], str] = {}
+        for p, a, c, e in self.entries:
+            index.setdefault((p, a, c), e)
+        object.__setattr__(self, "_index", index)
 
     def resolve(self, producer: str, action: str, consumer: str) -> str:
-        for p, a, c, e in self.entries:
-            if p == producer and a == action and c == consumer:
-                return e
-        return action
+        return self._index.get((producer, action, consumer), action)
 
 
 @dataclass(slots=True)
@@ -98,6 +105,16 @@ class SystemConfig:
 _MAP_RE = re.compile(r"(\w+)\.(\w+)\s*->\s*(\w+)\.(\w+)\Z")
 
 
+def _int_directive(key: str, text: str, minimum: int, span: SourceSpan) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise DaliSyntaxError(f"{key} must be an integer, got {text!r}", span) from None
+    if value < minimum:
+        raise DaliSyntaxError(f"{key} must be >= {minimum}, got {value}", span)
+    return value
+
+
 def load_system_config(path) -> SystemConfig:
     """Parse and validate a system config file and everything it names."""
     path = Path(path)
@@ -135,9 +152,9 @@ def load_system_config(path) -> SystemConfig:
                 )
             mappings.append(m.groups())
         elif key == "max_ticks":
-            max_ticks = int(rest)
+            max_ticks = _int_directive(key, rest, 0, span)
         elif key == "budget":
-            budget = int(rest)
+            budget = _int_directive(key, rest, 1, span)
         else:
             raise DaliSyntaxError(f"unknown config directive {key!r}", span)
 

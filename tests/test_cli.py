@@ -168,8 +168,75 @@ class TestRun:
         )
         assert code == 2  # consumer never got its tick-1 delivery
 
+    def test_negative_max_ticks_flag_is_exit_3(self, capsys, scenario_dir):
+        code, _, err = run_cli(
+            capsys, "run", str(scenario_dir / "ping.system"), "--max-ticks", "-3"
+        )
+        assert code == 3
+        assert "--max-ticks" in err
+
+
+class TestSystemConfigIntegers:
+    @pytest.mark.parametrize(
+        "directive, message",
+        [
+            ("max_ticks ten", "integer"),
+            ("max_ticks 2.5", "integer"),
+            ("budget x", "integer"),
+            ("budget", "integer"),
+            ("max_ticks -1", ">= 0"),
+            ("budget 0", ">= 1"),
+            ("budget -4", ">= 1"),
+        ],
+    )
+    def test_bad_value_is_exit_3_at_the_directive(
+        self, capsys, tmp_path, directive, message
+    ):
+        (tmp_path / "a.dali").write_text("agent A. @external e. @action x. e :> x.\n")
+        cfg = tmp_path / "sys.system"
+        cfg.write_text(f"# config\nagent a.dali\n{directive}\n")
+        code, _, err = run_cli(capsys, "run", str(cfg))
+        assert code == 3
+        assert f"{cfg}:3:1" in err
+        assert message in err
+
+    def test_zero_max_ticks_is_accepted(self, capsys, tmp_path):
+        (tmp_path / "a.dali").write_text("agent A. @external e. @action x. e :> x.\n")
+        (tmp_path / "s.events").write_text("0 A e\n")
+        cfg = tmp_path / "sys.system"
+        cfg.write_text("agent a.dali\nscript s.events\nmax_ticks 0\nbudget 1\n")
+        code, _, _ = run_cli(capsys, "run", str(cfg))
+        assert code == 2  # no tick runs, so the event stays pending
+
 
 class TestEnvBudget:
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("query", "henry.dali", "happy"),
+            ("run", "ping.system"),
+            ("repl", "mary.system"),
+        ],
+    )
+    def test_bad_dali_max_steps_is_exit_3(
+        self, capsys, monkeypatch, scenario_dir, argv, value
+    ):
+        monkeypatch.setenv("DALI_MAX_STEPS", value)
+        monkeypatch.setattr("sys.stdin", io.StringIO("quit\n"))
+        cmd, path, *rest = argv
+        code, _, err = run_cli(capsys, cmd, str(scenario_dir / path), *rest)
+        assert code == 3
+        assert "DALI_MAX_STEPS" in err and value in err
+
+    @pytest.mark.parametrize("spec", ["k=x", "m=", "k=1.5", "k=0", "m=-1"])
+    def test_bad_strategy_value_is_exit_3(self, capsys, scenario_dir, spec):
+        code, _, err = run_cli(
+            capsys, "query", str(scenario_dir / "henry.dali"), "happy", "--strategy", spec
+        )
+        assert code == 3
+        assert f"strategy {spec[0]}" in err
+
     def test_dali_max_steps_limits_runs(self, capsys, scenario_dir, monkeypatch):
         monkeypatch.setenv("DALI_MAX_STEPS", "1")
         code, out, _ = run_cli(
@@ -225,6 +292,17 @@ class TestRepl:
         code, out, _ = self.drive(capsys, monkeypatch, scenario_dir, "wibble\nquit\n")
         assert code == 0
         assert "commands:" in out
+
+    @pytest.mark.parametrize("count", ["x", "0", "-2", "1e3"])
+    def test_bad_step_count_keeps_session_open(
+        self, capsys, monkeypatch, scenario_dir, count
+    ):
+        code, out, _ = self.drive(
+            capsys, monkeypatch, scenario_dir, f"step {count}\nstep 2\nquit\n"
+        )
+        assert code == 0
+        assert "error: step count must be" in out
+        assert "advanced" in out
 
     def test_eof_quits(self, capsys, monkeypatch, scenario_dir):
         code, _, _ = self.drive(capsys, monkeypatch, scenario_dir, "")

@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from dali import load_agent_file
 from dali.model import (
     ACTION,
     ORDINARY,
@@ -186,3 +189,119 @@ class TestDerivedSets:
         assert heads == [ORDINARY]
         assert p.reactive_clause("happy") is not None
         assert p.reactive_clause("sunny_day") is None
+
+
+# Reference lookups: linear scans written independently of the indexes
+# that AgentProgram builds, which the engine and the oracle both use.
+
+
+def scan_reactive(p, name):
+    return next(
+        (c for c in p.clauses if c.kind == REACTIVE and c.head.name == name), None
+    )
+
+
+def scan_action(p, name):
+    return next(
+        (c for c in p.clauses if c.kind == ACTION and c.head.name == name), None
+    )
+
+
+def scan_defining(p, name):
+    return tuple(
+        c for c in p.clauses if c.head.name == name and c.kind in (ORDINARY, ACTION)
+    )
+
+
+def assert_lookups_match_scans(p, names):
+    for name in names:
+        assert p.reactive_clause(name) is scan_reactive(p, name), name
+        assert p.action_clause(name) is scan_action(p, name), name
+        defining = p.defining_clauses(name)
+        expected = scan_defining(p, name)
+        assert len(defining) == len(expected), name
+        assert all(a is b for a, b in zip(defining, expected)), name
+
+
+def duplicated() -> AgentProgram:
+    """Repeats a reactive and an action rule (invalid, but constructible),
+    and gives `a` both an ordinary and an action clause."""
+    return AgentProgram(
+        "Dup",
+        (
+            Clause(Atom("a"), (Atom("x"),)),
+            Clause(Atom("e"), (Atom("first"),), REACTIVE),
+            Clause(Atom("a"), (Atom("pre1"),), ACTION),
+            Clause(Atom("x")),
+            Clause(Atom("e"), (Atom("second"),), REACTIVE),
+            Clause(Atom("a"), (Atom("pre2"),), ACTION),
+            Clause(Atom("a"), (Atom("y"),)),
+        ),
+        externals=(Atom("e"),),
+        actions=(Atom("a"),),
+    )
+
+
+class TestIndexes:
+    def test_scenarios_match_linear_scans(self, scenario_dir):
+        files = sorted(scenario_dir.glob("*.dali"))
+        assert files
+        for path in files:
+            p = load_agent_file(path)
+            names = {"no_such_atom"}
+            names.update(a.name for a in p.externals + p.internals + p.actions)
+            for c in p.clauses:
+                names.add(c.head.name)
+                names.update(a.name for a in c.body)
+            assert_lookups_match_scans(p, sorted(names))
+
+    def test_role_name_sets(self, scenario):
+        for name in ("anne", "mary", "danger", "henry"):
+            p = scenario(name)
+            assert p.external_names == {a.name for a in p.externals}
+            assert p.internal_names == {a.name for a in p.internals}
+            assert p.action_names == {a.name for a in p.actions}
+            assert p.event_names == p.external_names | p.internal_names
+            assert p.external_names is p.external_names  # built once
+
+    def test_first_rule_in_program_order_wins(self):
+        p = duplicated()
+        assert p.reactive_clause("e").body == (Atom("first"),)
+        assert p.action_clause("a").body == (Atom("pre1"),)
+        assert_lookups_match_scans(p, ["a", "e", "x", "first", "pre1"])
+
+    def test_ordinary_and_action_clauses_keep_program_order(self):
+        bodies = [c.body for c in duplicated().defining_clauses("a")]
+        assert bodies == [
+            (Atom("x"),),
+            (Atom("pre1"),),
+            (Atom("pre2"),),
+            (Atom("y"),),
+        ]
+
+    def test_unknown_name(self):
+        p = duplicated()
+        assert p.reactive_clause("nope") is None
+        assert p.action_clause("nope") is None
+        assert p.defining_clauses("nope") == ()
+        assert AgentProgram("Empty").defining_clauses("a") == ()
+
+    def test_equal_inputs_give_equal_programs(self):
+        p, q = duplicated(), duplicated()
+        assert p == q
+        assert hash(p) == hash(q)
+        assert repr(p) == repr(q)
+        assert "_reactive" not in repr(p) and "external_names" not in repr(p)
+        assert p != dataclasses.replace(p, name="Other")
+
+    def test_replace_rebuilds_indexes(self):
+        p = duplicated()
+        q = dataclasses.replace(p, clauses=tuple(reversed(p.clauses)))
+        assert q.reactive_clause("e").body == (Atom("second"),)
+        assert q.action_clause("a").body == (Atom("pre2"),)
+        assert [c.body for c in q.defining_clauses("a")][0] == (Atom("y"),)
+        assert_lookups_match_scans(q, ["a", "e", "x"])
+        r = dataclasses.replace(p, externals=(Atom("f"),), actions=())
+        assert r.external_names == {"f"}
+        assert r.action_names == frozenset()
+        assert r.event_names == {"f"}

@@ -3,6 +3,7 @@ import pytest
 from dali.errors import DaliConfigError, DaliSyntaxError, DaliValidationError
 from dali.model import Atom
 from dali.runtime import (
+    ChannelMapping,
     SystemConfig,
     SystemRunner,
     evolve_system,
@@ -62,6 +63,38 @@ class TestConfigLoading:
         bad.write_text("agent a.dali\nagent b.dali\nmap A.nope -> B.pong\n")
         with pytest.raises(DaliConfigError, match="not a declared action"):
             load_system_config(bad)
+
+
+class TestChannelMapping:
+    def test_first_entry_wins_for_a_repeated_triple(self):
+        mapping = ChannelMapping(
+            (
+                ("A", "ping", "B", "pong"),
+                ("A", "ping", "C", "knock"),
+                ("A", "ping", "B", "later"),
+            )
+        )
+        assert mapping.resolve("A", "ping", "B") == "pong"
+        assert mapping.resolve("A", "ping", "C") == "knock"
+        assert mapping.resolve("B", "ping", "A") == "ping"  # identity
+        assert mapping.resolve("A", "other", "B") == "other"
+
+    def test_repeated_map_lines_in_a_config(self, tmp_path):
+        (tmp_path / "a.dali").write_text("agent A. @action ping. @internal go. go. go :> ping.\n")
+        (tmp_path / "b.dali").write_text(
+            "agent B. @external pong. @external bell. pong :> noted. bell :> noted. noted.\n"
+        )
+        cfg = tmp_path / "dup.system"
+        cfg.write_text(
+            "agent a.dali\nagent b.dali\nmap A.ping -> B.pong\nmap A.ping -> B.bell\n"
+        )
+        assert load_system_config(cfg).mapping.resolve("A", "ping", "B") == "pong"
+
+    def test_equal_entries_give_equal_mappings(self):
+        entries = (("A", "ping", "B", "pong"),)
+        assert ChannelMapping(entries) == ChannelMapping(entries)
+        assert hash(ChannelMapping(entries)) == hash(ChannelMapping(entries))
+        assert repr(ChannelMapping(entries)) == repr(ChannelMapping(entries))
 
 
 class TestTickLoop:
