@@ -36,14 +36,18 @@ def _die(message: str) -> int:
     return EXIT_BAD_INPUT
 
 
+def _print_issues(exc: DaliValidationError) -> None:
+    where = exc.path or f"agent {exc.agent}"
+    for issue in exc.report.errors:
+        clause = f" (clause {issue.clause_index})" if issue.clause_index is not None else ""
+        print(f"{where}: {issue.message}{clause}", file=sys.stderr)
+
+
 def _load_validated(path):
     program = load_agent_file(path)
     report = validate_program(program)
     if not report.ok:
-        for issue in report.errors:
-            where = f" (clause {issue.clause_index})" if issue.clause_index is not None else ""
-            print(f"{path}: {issue.message}{where}", file=sys.stderr)
-        raise DaliValidationError(program.name, report)
+        raise DaliValidationError(program.name, report, path)
     for w in report.warnings:
         print(f"{path}: warning: {w}", file=sys.stderr)
     return program
@@ -270,8 +274,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DaliValidationError:
-        return EXIT_BAD_INPUT  # issues already printed
+    except DaliValidationError as exc:
+        _print_issues(exc)
+        return EXIT_BAD_INPUT
     except DaliError as exc:
         return _die(str(exc))
     except FileNotFoundError as exc:

@@ -48,7 +48,7 @@ from .model import (
     Clause,
     validate_program,
 )
-from .parser import EventScript, ScriptEntry, parse_atom_text
+from .parser import ScriptEntry, parse_atom_text
 
 # Component origins.
 QUERY = "query"
@@ -69,27 +69,21 @@ class Strategy:
     """Deterministic scheduling policy.
 
     event_check_period (k) and internal_check_period (m) say how often
-    external joins and the internal phase are given priority; attempts
-    cycle through the internal events in declaration order.  seed is
-    reserved for future randomized strategies.
+    external joins and the internal phase are given priority; max_steps
+    is the default step budget of `Engine.run` and `run_agent`.
+    Components run round-robin, clauses are tried in program order and
+    attempts cycle through the internal events in declaration order.
     """
 
     event_check_period: int = 1
     internal_check_period: int = 2
-    goal_schedule: str = "round-robin"
-    clause_choice: str = "program-order"
     max_steps: int = 10_000
-    seed: int = 0
 
     def __post_init__(self):
         if self.event_check_period < 1 or self.internal_check_period < 1:
             raise ValueError("strategy periods must be >= 1")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if self.goal_schedule != "round-robin":
-            raise ValueError(f"unsupported goal schedule {self.goal_schedule!r}")
-        if self.clause_choice != "program-order":
-            raise ValueError(f"unsupported clause choice {self.clause_choice!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,7 +100,6 @@ class GoalAtom:
 class _Region:
     """An open nested subproof with its completion effects."""
 
-    rid: int
     owner: Atom
     component: int
     perform: bool
@@ -217,12 +210,10 @@ class Engine:
         program: AgentProgram,
         strategy: Strategy | None = None,
         on_action=None,
-        validate: bool = True,
     ):
-        if validate:
-            report = validate_program(program)
-            if not report.ok:
-                raise DaliValidationError(program.name, report)
+        report = validate_program(program)
+        if not report.ok:
+            raise DaliValidationError(program.name, report)
         self.program = program
         self.strategy = strategy or Strategy()
         self.on_action = on_action
@@ -294,15 +285,15 @@ class Engine:
         if rec is not None:
             return rec
         # Off-schedule work still runs rather than idling; the periods
-        # only decide who goes first when several step kinds apply.
-        if self.state.ev and external_due:
-            return self._join_external(n)
-        if not internal_due:
+        # only decide who goes first when several step kinds apply, so a
+        # due external join precedes an off-schedule internal phase.
+        ev = self.state.ev
+        if not internal_due and not (ev and external_due):
             rec = self._internal_phase(n)
             if rec is not None:
                 return rec
-        if self.state.ev:
-            return self._join_external(n)
+        if ev:
+            return self._join(n, ev, EXTERNAL_REACTION, "iv", "ev_removed")
         return None
 
     def run(self, max_steps: int | None = None) -> list[StepRecord]:
@@ -331,14 +322,14 @@ class Engine:
 
     # -- the six step kinds -------------------------------------------------
 
-    def _record(self, n, case, selected, comp_index, goal, **deltas) -> StepRecord:
+    def _record(self, n, case, selected, comp: Component, **deltas) -> StepRecord:
         st = self.state
         rec = StepRecord(
             step=n,
             case=case,
             selected=selected,
-            component=comp_index,
-            goal=goal,
+            component=comp.index,
+            goal=comp.goal_text(),
             ev=st.ev_names(),
             iv=st.iv_names(),
             pv=st.pv_names(),
@@ -348,31 +339,8 @@ class Engine:
         return rec
 
     def _internal_phase(self, n) -> StepRecord | None:
-        st = self.state
-        if st.iv:
-            event = st.iv.pop(0)
-            pv_added = ()
-            if event not in st.pv:
-                st.pv.add(event)
-                pv_added = (event.name,)
-            self._version += 1
-            comp = Component(
-                len(self.components),
-                INTERNAL_REACTION,
-                event,
-                (GoalAtom(event),),
-                reaction_pending=True,
-            )
-            self.components.append(comp)
-            return self._record(
-                n,
-                "v",
-                event.name,
-                comp.index,
-                comp.goal_text(),
-                iv_removed=(event.name,),
-                pv_added=pv_added,
-            )
+        if self.state.iv:
+            return self._join(n, self.state.iv, INTERNAL_REACTION, "v", "iv_removed")
         atom = self._find_attempt()
         if atom is None:
             return None
@@ -381,7 +349,26 @@ class Engine:
         self._last_attempt[atom.name] = self._version
         comp = Component(len(self.components), INTERNAL_ATTEMPT, atom, (GoalAtom(atom),))
         self.components.append(comp)
-        return self._record(n, "vi", atom.name, comp.index, comp.goal_text())
+        return self._record(n, "vi", atom.name, comp)
+
+    def _join(self, n, queue: list[Atom], origin, case, removed) -> StepRecord:
+        """Join the oldest event of queue (EV or IV) as a new reaction
+        component, moving it to PV; `removed` names the delta field."""
+        st = self.state
+        event = queue.pop(0)
+        pv_added = ()
+        if event not in st.pv:
+            st.pv.add(event)
+            pv_added = (event.name,)
+        self._version += 1
+        comp = Component(
+            len(self.components), origin, event, (GoalAtom(event),),
+            reaction_pending=True,
+        )
+        self.components.append(comp)
+        return self._record(
+            n, case, event.name, comp, pv_added=pv_added, **{removed: (event.name,)}
+        )
 
     def _find_attempt(self) -> Atom | None:
         """Next internal event worth attempting, in declaration order.
@@ -412,32 +399,6 @@ class Engine:
             return a
         return None
 
-    def _join_external(self, n) -> StepRecord:
-        st = self.state
-        event = st.ev.pop(0)
-        pv_added = ()
-        if event not in st.pv:
-            st.pv.add(event)
-            pv_added = (event.name,)
-        self._version += 1
-        comp = Component(
-            len(self.components),
-            EXTERNAL_REACTION,
-            event,
-            (GoalAtom(event),),
-            reaction_pending=True,
-        )
-        self.components.append(comp)
-        return self._record(
-            n,
-            "iv",
-            event.name,
-            comp.index,
-            comp.goal_text(),
-            ev_removed=(event.name,),
-            pv_added=pv_added,
-        )
-
     def _advance_components(self, n) -> StepRecord | None:
         comps = self.components
         total = len(comps)
@@ -462,11 +423,13 @@ class Engine:
         atom = ga.atom
         if atom.marker == PRESENT:
             if any(e.name == atom.name for e in st.ev):
-                return self._drop_leftmost(comp, n, "iii", str(atom))
+                self._replace_leftmost(comp, ())
+                return self._record(n, "iii", str(atom), comp)
             reason = f"now({atom.name}) unsatisfied: event not pending"
         elif atom.marker == PAST:
             if any(p.name == atom.name for p in st.pv):
-                return self._drop_leftmost(comp, n, "i", str(atom))
+                self._replace_leftmost(comp, ())
+                return self._record(n, "i", str(atom), comp)
             reason = f"past({atom.name}) unsatisfied: event never reacted to"
         elif comp.reaction_pending:
             comp.reaction_pending = False
@@ -485,7 +448,12 @@ class Engine:
                     )
                 return self._resolve(comp, candidates[0], n)
             if atom.name in self._act_names:
-                return self._simple_action(comp, n)
+                # An action without an action rule always succeeds.
+                self._replace_leftmost(comp, ())
+                iv_added = self._perform(atom, n)
+                return self._record(
+                    n, "ii", atom.name, comp, performed=atom.name, iv_added=iv_added
+                )
             reason = f"no clause for '{atom.name}'"
 
         # Chronological backtracking: restore the goal as it was and try
@@ -520,53 +488,19 @@ class Engine:
             )
         if opened is not None:
             regions = regions + (opened,)
+        children = tuple(GoalAtom(b, ancestors, regions) for b in clause.body)
+        self._replace_leftmost(comp, children, opened)
+        return self._record(n, "i", str(ga.atom), comp)
+
+    def _replace_leftmost(self, comp: Component, children, opened=None) -> None:
+        """Replace the selected atom with children.  Every nested subproof
+        left with no atoms (including one just opened with an empty body)
+        is queued for its completion step; the component succeeds when
+        its goal is empty."""
         before = {r for g in comp.atoms for r in g.regions}
         if opened is not None:
             before.add(opened)
-        children = tuple(GoalAtom(b, ancestors, regions) for b in clause.body)
         comp.atoms = children + comp.atoms[1:]
-        self._scan_completions(comp, before)
-        if not comp.atoms:
-            comp.status = SUCCEEDED
-        return self._record(n, "i", str(ga.atom), comp.index, comp.goal_text())
-
-    def _drop_leftmost(self, comp, n, case, selected) -> StepRecord:
-        before = {r for g in comp.atoms for r in g.regions}
-        comp.atoms = comp.atoms[1:]
-        self._scan_completions(comp, before)
-        if not comp.atoms:
-            comp.status = SUCCEEDED
-        return self._record(n, case, selected, comp.index, comp.goal_text())
-
-    def _simple_action(self, comp, n) -> StepRecord:
-        """An action without an action rule always succeeds."""
-        ga = comp.atoms[0]
-        atom = ga.atom
-        before = {r for g in comp.atoms for r in g.regions}
-        comp.atoms = comp.atoms[1:]
-        iv_added = self._perform(atom, n)
-        self._scan_completions(comp, before)
-        if not comp.atoms:
-            comp.status = SUCCEEDED
-        return self._record(
-            n,
-            "ii",
-            atom.name,
-            comp.index,
-            comp.goal_text(),
-            performed=atom.name,
-            iv_added=iv_added,
-        )
-
-    # -- nested subproofs --------------------------------------------------
-
-    def _open_region(self, owner, comp_index, perform, record_iv) -> int:
-        rid = self._next_region
-        self._next_region += 1
-        self._regions[rid] = _Region(rid, owner, comp_index, perform, record_iv)
-        return rid
-
-    def _scan_completions(self, comp: Component, before: set[int]) -> None:
         present = {r for g in comp.atoms for r in g.regions}
         # Innermost regions were opened last, so higher ids complete first.
         for rid in sorted(before - present, reverse=True):
@@ -574,6 +508,16 @@ class Engine:
             if not region.done:
                 region.done = True
                 self._pending.append(rid)
+        if not comp.atoms:
+            comp.status = SUCCEEDED
+
+    # -- nested subproofs --------------------------------------------------
+
+    def _open_region(self, owner, comp_index, perform, record_iv) -> int:
+        rid = self._next_region
+        self._next_region += 1
+        self._regions[rid] = _Region(owner, comp_index, perform, record_iv)
+        return rid
 
     def _completion_step(self) -> StepRecord:
         rid = self._pending.pop(0)
@@ -586,13 +530,11 @@ class Engine:
             iv_added = self._perform(region.owner, n)
         elif region.record_iv:
             iv_added = self._record_internal(region.owner)
-        comp = self.components[region.component]
         return self._record(
             n,
             "ii",
             region.owner.name,
-            region.component,
-            comp.goal_text(),
+            self.components[region.component],
             performed=performed,
             iv_added=iv_added,
         )
@@ -626,40 +568,28 @@ class RunResult:
     query_succeeded: bool | None = None
 
 
-def _normalize_inbox(inbox) -> list[ScriptEntry]:
-    if isinstance(inbox, EventScript):
-        entries = list(inbox.entries)
-    else:
-        entries = []
-        for item in inbox:
-            if isinstance(item, ScriptEntry):
-                entries.append(item)
-            else:
-                tick, event = item
-                atom = Atom(event) if isinstance(event, str) else event
-                entries.append(ScriptEntry(int(tick), "", atom))
-    return sorted(entries, key=lambda e: e.tick)
-
-
 def run_agent(
     program: AgentProgram,
     query: Atom | str | None = None,
     inbox=(),
     strategy: Strategy | None = None,
-    on_action=None,
     max_steps: int | None = None,
 ) -> RunResult:
     """Run one agent to quiescence (or the step budget).
 
-    The inbox is an EventScript (agent fields ignored) or (tick, event)
-    pairs; an entry at tick t is delivered once t interpreter steps have
-    run, or immediately at quiescence if the agent got there early.
+    The inbox holds (tick, event) pairs; an entry at tick t is delivered
+    once t interpreter steps have run, or immediately at quiescence if
+    the agent got there early.
     """
-    engine = Engine(program, strategy, on_action=on_action)
+    engine = Engine(program, strategy)
     query_index = None
     if query is not None:
         query_index = engine.add_query(query)
-    pending = _normalize_inbox(inbox)
+    pending = sorted(
+        (ScriptEntry(int(t), "", Atom(e) if isinstance(e, str) else e)
+         for t, e in inbox),
+        key=lambda entry: entry.tick,
+    )
     budget = max_steps if max_steps is not None else engine.strategy.max_steps
     truncated = False
     while True:

@@ -33,12 +33,13 @@ class DaliValidationError(DaliError):
     """An agent program violates a structural restriction.
 
     Carries the full report so callers can print every issue, not just
-    the first one.
+    the first one, and the agent file's path when it was loaded from one.
     """
 
-    def __init__(self, agent: str, report):
+    def __init__(self, agent: str, report, path=None):
         self.agent = agent
         self.report = report
+        self.path = path
         lines = "; ".join(issue.message for issue in report.errors)
         super().__init__(f"agent {agent}: {lines}")
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DaliSyntaxError, SourceSpan
+from .errors import DaliError, DaliSyntaxError, SourceSpan
 from .model import (
     ACTION,
     ORDINARY,
@@ -234,10 +234,6 @@ class EventScript:
     def after(self, tick: int) -> tuple[ScriptEntry, ...]:
         return tuple(e for e in self.entries if e.tick > tick)
 
-    @property
-    def last_tick(self) -> int:
-        return self.entries[-1].tick if self.entries else -1
-
 
 def parse_event_script(text: str, filename: str = "<string>") -> EventScript:
     """Parse a `TICK AGENT EVENT` script; `#` starts a comment."""
@@ -303,14 +299,36 @@ def parse_atom_text(text: str) -> Atom:
     return atoms[0]
 
 
+def _universal_newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def read_source(path) -> str:
+    """The text of a UTF-8 input file, newlines translated as text-mode
+    `open` does.  A byte that is not UTF-8 is a syntax error at its line
+    and column.  A file that cannot be read (missing, a directory, no
+    permission) is a `DaliError` naming the path."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise DaliError(str(exc)) from None
+    try:
+        return _universal_newlines(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        lines = _universal_newlines(data[: exc.start].decode("utf-8")).split("\n")
+        span = SourceSpan(str(path), len(lines), len(lines[-1]) + 1)
+        raise DaliSyntaxError(
+            f"not valid UTF-8: {exc.reason} (byte 0x{data[exc.start]:02x})", span
+        ) from None
+
+
 def load_agent_file(path) -> AgentProgram:
-    with open(path, encoding="utf-8") as fh:
-        return parse_agent_file(fh.read(), str(path))
+    return parse_agent_file(read_source(path), str(path))
 
 
 def load_event_script(path) -> EventScript:
-    with open(path, encoding="utf-8") as fh:
-        return parse_event_script(fh.read(), str(path))
+    return parse_event_script(read_source(path), str(path))
 
 
 # Re-export: spans live in errors.py to avoid an import cycle.
@@ -326,4 +344,5 @@ __all__ = [
     "parse_event_script",
     "parse_init_atoms",
     "pretty",
+    "read_source",
 ]

@@ -30,16 +30,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .engine import Engine, StepRecord, Strategy
+from .engine import Engine, StepRecord
 from .errors import DaliConfigError, DaliSyntaxError, DaliValidationError, SourceSpan
 from .model import PRESENT, AgentProgram, Atom, validate_program
-from .parser import EventScript, load_agent_file, load_event_script
-from .semantics import (
-    InitialSituation,
-    least_model,
-    restrict_by_strategy,
-    transform_program,
-)
+from .parser import EventScript, load_agent_file, load_event_script, read_source
+from .semantics import InitialSituation, least_model, transform_program
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,13 +66,9 @@ class SystemConfig:
     agents: dict[str, AgentProgram]
     script: EventScript = field(default_factory=EventScript)
     mapping: ChannelMapping = field(default_factory=ChannelMapping)
-    strategies: dict[str, Strategy] = field(default_factory=dict)
     max_ticks: int = 100
     budget: int = 50
     max_evolution_rounds: int = 32
-
-    def strategy_for(self, name: str) -> Strategy:
-        return self.strategies.get(name) or Strategy()
 
     def validate(self) -> None:
         for entry in self.script.entries:
@@ -125,9 +116,7 @@ def load_system_config(path) -> SystemConfig:
     max_ticks = 100
     budget = 50
 
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(read_source(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -138,7 +127,7 @@ def load_system_config(path) -> SystemConfig:
             program = load_agent_file(base / rest)
             report = validate_program(program)
             if not report.ok:
-                raise DaliValidationError(program.name, report)
+                raise DaliValidationError(program.name, report, base / rest)
             if program.name in agents:
                 raise DaliSyntaxError(f"duplicate agent name '{program.name}'", span)
             agents[program.name] = program
@@ -169,6 +158,35 @@ def load_system_config(path) -> SystemConfig:
     return config
 
 
+class _Broadcast:
+    """The broadcast rule of the tick runtime and of `evolve_system`.
+
+    An action performed (or derived) by a producer reaches a consumer
+    as the event the channel mapping names, when the consumer declares
+    that event as external; otherwise the delivery is dropped, with one
+    warning per (producer, action, consumer).
+    """
+
+    def __init__(self, config: SystemConfig, kind: str):
+        self.mapping = config.mapping
+        self.externals = {n: p.external_names for n, p in config.agents.items()}
+        self.kind = kind  # how warnings name the action
+        self.warnings: dict[tuple[str, str, str], str] = {}  # in first-drop order
+
+    def target(self, producer: str, action: str, consumer: str) -> str | None:
+        """The event `consumer` receives, or None if it is dropped."""
+        event = self.mapping.resolve(producer, action, consumer)
+        if event in self.externals[consumer]:
+            return event
+        key = (producer, action, consumer)
+        if key not in self.warnings:
+            self.warnings[key] = (
+                f"{self.kind} '{action}' by {producer} has no external "
+                f"event at {consumer}; dropped"
+            )
+        return None
+
+
 @dataclass(frozen=True, slots=True)
 class SystemResult:
     quiescent: bool
@@ -184,16 +202,13 @@ class SystemRunner:
         self.config = config
         self.tick = 0
         self.trace: list[tuple[str, StepRecord]] = []
-        self.broadcast_log: list[tuple[str, str, int]] = []
-        self.warnings: list[str] = []
-        self._warned: set[tuple[str, str, str]] = set()
+        self._broadcast = _Broadcast(config, "action")
         self._deliveries: dict[int, list[tuple[str, Atom]]] = {}
         self._actions: list[tuple[str, Atom]] = []  # performed since last drain
         self.engines: dict[str, Engine] = {}
         for name, program in config.agents.items():
             self.engines[name] = Engine(
                 program,
-                config.strategy_for(name),
                 on_action=lambda atom, step, producer=name: self._actions.append(
                     (producer, atom)
                 ),
@@ -204,19 +219,11 @@ class SystemRunner:
     # -- broadcast ---------------------------------------------------------
 
     def _route(self, producer: str, atom: Atom, due_tick: int, immediate: bool):
-        self.broadcast_log.append((producer, atom.name, self.tick))
-        for consumer, program in self.config.agents.items():
+        for consumer in self.config.agents:
             if consumer == producer:
                 continue
-            target = self.config.mapping.resolve(producer, atom.name, consumer)
-            if target not in program.external_names:
-                key = (producer, atom.name, consumer)
-                if key not in self._warned:
-                    self._warned.add(key)
-                    self.warnings.append(
-                        f"action '{atom.name}' by {producer} has no external "
-                        f"event at {consumer}; dropped"
-                    )
+            target = self._broadcast.target(producer, atom.name, consumer)
+            if target is None:
                 continue
             if immediate:
                 self.engines[consumer].inject(Atom(target))
@@ -248,33 +255,28 @@ class SystemRunner:
         self._drain_actions(immediate=False)
         self.tick += 1
 
-    @property
-    def quiescent(self) -> bool:
-        return (
-            all(e.quiescent for e in self.engines.values())
-            and not self._deliveries
-            and not self._actions
-            and not self.config.script.after(self.tick - 1)
-        )
-
-    def run(self, max_ticks: int | None = None) -> SystemResult:
-        limit = self.config.max_ticks if max_ticks is None else max_ticks
-        while self.tick < limit:
-            if self.quiescent:
-                break
+    def run(self) -> SystemResult:
+        """Run ticks until the system is quiescent (every engine idle, no
+        delivery or script entry to come) or `max_ticks` is reached."""
+        limit = self.config.max_ticks
+        while True:
             upcoming = self.config.script.after(self.tick - 1)
-            if (
-                not self._deliveries
-                and all(e.quiescent for e in self.engines.values())
-                and upcoming
-                and upcoming[0].tick > self.tick
-            ):
+            idle = not self._deliveries and all(
+                e.quiescent for e in self.engines.values()
+            )
+            quiescent = idle and not upcoming and not self._actions
+            if quiescent or self.tick >= limit:
+                break
+            if idle and upcoming and upcoming[0].tick > self.tick:
                 if upcoming[0].tick >= limit:
                     break  # unreachable within the tick budget
                 self.tick = upcoming[0].tick  # fast-forward idle ticks
             self.run_tick()
         return SystemResult(
-            self.quiescent, self.tick, tuple(self.trace), tuple(self.warnings)
+            quiescent,
+            self.tick,
+            tuple(self.trace),
+            tuple(self._broadcast.warnings.values()),
         )
 
     # -- step-granular interface (REPL) ------------------------------------
@@ -299,8 +301,8 @@ class SystemRunner:
         return None
 
 
-def run_system(config: SystemConfig, max_ticks: int | None = None) -> SystemResult:
-    return SystemRunner(config).run(max_ticks)
+def run_system(config: SystemConfig) -> SystemResult:
+    return SystemRunner(config).run()
 
 
 # -- evolution over snapshot models ------------------------------------------
@@ -327,7 +329,6 @@ def _sorted_units(units: frozenset[Atom]) -> tuple[Atom, ...]:
 def evolve_system(
     config: SystemConfig,
     init: dict[str, Iterable[Atom]] | None = None,
-    keep: dict[str, object] | None = None,
 ) -> EvolutionTrace:
     """Iterate per-agent snapshot models until the derived events settle.
 
@@ -339,7 +340,6 @@ def evolve_system(
     replaced each round.
     """
     init = init or {}
-    keep = keep or {}
     agents = config.agents
     units: dict[str, frozenset[Atom]] = {
         name: frozenset(
@@ -348,16 +348,13 @@ def evolve_system(
         for name in agents
     }
     rounds: list[EvolutionRound] = []
-    warnings: list[str] = []
-    warned: set[tuple[str, str, str]] = set()
+    broadcast = _Broadcast(config, "derived action")
     reached_fixpoint = False
 
     for _ in range(config.max_evolution_rounds):
         models: dict[str, frozenset[str]] = {}
         for name, program in agents.items():
             tp = transform_program(program, InitialSituation(_sorted_units(units[name])))
-            if name in keep:
-                tp = restrict_by_strategy(tp, keep[name])
             models[name] = least_model(tp)
         rounds.append(EvolutionRound(dict(units), models))
 
@@ -378,17 +375,9 @@ def evolve_system(
                 for act in pprog.actions:
                     if act.name not in models[producer]:
                         continue
-                    target = config.mapping.resolve(producer, act.name, name)
-                    if target in program.external_names:
+                    target = broadcast.target(producer, act.name, name)
+                    if target is not None:
                         nxt.add(Atom(target))
-                    else:
-                        key = (producer, act.name, name)
-                        if key not in warned:
-                            warned.add(key)
-                            warnings.append(
-                                f"derived action '{act.name}' by {producer} has "
-                                f"no external event at {name}; dropped"
-                            )
             next_units[name] = frozenset(nxt)
 
         if next_units == units:
@@ -400,7 +389,7 @@ def evolve_system(
         tuple(rounds),
         reached_fixpoint,
         not reached_fixpoint,
-        tuple(warnings),
+        tuple(broadcast.warnings.values()),
     )
 
 

@@ -233,15 +233,11 @@ def restrict_by_strategy(
 
 
 def snapshot(
-    p: AgentProgram,
-    init: InitialSituation | Iterable[Atom] = (),
-    keep: Callable[[TransformedClause], bool] | None = None,
+    p: AgentProgram, init: InitialSituation | Iterable[Atom] = ()
 ) -> frozenset[str]:
-    """Least model of the (optionally restricted) transformed program."""
-    tp = transform_program(p, init)
-    if keep is not None:
-        tp = restrict_by_strategy(tp, keep)
-    return least_model(tp)
+    """Least model of the transformed program.  To restrict it, take
+    `least_model(restrict_by_strategy(transform_program(p, init), keep))`."""
+    return least_model(transform_program(p, init))
 
 
 def render_transformed(tp: TransformedProgram) -> str:

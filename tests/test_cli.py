@@ -113,6 +113,55 @@ class TestValidationDiagnostics:
         assert code == 3
         assert "nope.dali" in err
 
+    @pytest.mark.parametrize("command", ["run", "repl"])
+    def test_invalid_agent_in_a_config_lists_issues(
+        self, capsys, monkeypatch, tmp_path, command
+    ):
+        bad = tmp_path / "bad.dali"
+        bad.write_text("agent A. @external e. e :- x. e :> y. e :> z.\n")
+        cfg = tmp_path / "sys.system"
+        cfg.write_text("agent bad.dali\n")
+        monkeypatch.setattr("sys.stdin", io.StringIO("quit\n"))
+        code, out, err = run_cli(capsys, command, str(cfg))
+        assert code == 3
+        assert out == ""
+        # the same lines `dali model` prints for the agent file itself
+        assert err.splitlines() == [
+            f"{bad}: ordinary rule defines external event 'e' (clause 0)",
+            f"{bad}: second reactive rule for 'e'; only one is allowed (clause 2)",
+        ]
+        assert run_cli(capsys, "model", str(bad)) == (3, "", err)
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize("how", ["directory", "not utf-8"])
+    @pytest.mark.parametrize(
+        "command, broken",
+        [
+            ("model", "a.dali"),
+            ("run", "a.dali"),
+            ("run", "s.events"),
+            ("run", "sys.system"),
+        ],
+    )
+    def test_exit_3_names_the_path(self, capsys, tmp_path, command, broken, how):
+        (tmp_path / "a.dali").write_text("agent A. @external e. @action x. e :> x.\n")
+        (tmp_path / "s.events").write_text("0 A e\n")
+        (tmp_path / "sys.system").write_text("agent a.dali\nscript s.events\n")
+        bad = tmp_path / broken
+        bad.unlink()
+        if how == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b"# fine\n  caf\xe9\n")
+        target = "a.dali" if command == "model" else "sys.system"
+        code, out, err = run_cli(capsys, command, str(tmp_path / target))
+        assert code == 3
+        assert out == ""
+        assert str(bad) in err
+        if how == "not utf-8":
+            assert err == f"{bad}:2:6: not valid UTF-8: invalid continuation byte (byte 0xe9)\n"
+
 
 class TestRun:
     def test_run_writes_trace_and_exits_zero(self, capsys, scenario_dir, tmp_path):

@@ -456,5 +456,5 @@ def test_strategy_validation():
         Strategy(event_check_period=0)
     with pytest.raises(ValueError):
         Strategy(internal_check_period=-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         Strategy(goal_schedule="random")

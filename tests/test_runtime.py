@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from dali.errors import DaliConfigError, DaliSyntaxError, DaliValidationError
@@ -106,7 +108,6 @@ class TestTickLoop:
         assert producer.state.performed_names() == ("ping",)
         assert consumer.state.ev_names() == ()  # not yet delivered
         runner.run_tick()  # tick 1: delivery, reaction
-        assert ("Producer", "ping", 0) in runner.broadcast_log
         assert consumer.state.pv_names() == ("ping",)
         assert consumer.state.performed_names() == ("log_it",)
         # the producer never receives its own ping, at any tick
@@ -178,6 +179,44 @@ class TestTickLoop:
         runner = SystemRunner(ping_config)
         with pytest.raises(DaliConfigError):
             runner.inject("Nobody", "ping")
+
+
+class TestBroadcastRule:
+    DROPPED = re.compile(
+        r"(?:derived )?action '(\w+)' by (\w+) has no external event at (\w+); dropped"
+    )
+
+    def dropped(self, warnings):
+        out = []
+        for w in warnings:
+            action, producer, consumer = self.DROPPED.fullmatch(w).groups()
+            out.append((producer, action, consumer))
+        return out
+
+    def test_runner_and_evolution_drop_the_same_triples_once(self, tmp_path):
+        (tmp_path / "p.dali").write_text("agent P. @external go. @action ping. go :> ping.\n")
+        (tmp_path / "a.dali").write_text("agent A. @external pong. pong :> noted. noted.\n")
+        (tmp_path / "b.dali").write_text("agent B. @external other. other :> noted. noted.\n")
+        (tmp_path / "s.events").write_text("0 P go\n3 P go\n")
+        cfg = tmp_path / "sys.system"
+        cfg.write_text(
+            "agent p.dali\nagent a.dali\nagent b.dali\nscript s.events\n"
+            "map P.ping -> A.pong\n"
+        )
+        config = load_system_config(cfg)
+        runner = SystemRunner(config)
+        result = runner.run()
+        assert result.quiescent
+        # ping is performed twice; the mapped consumer hears it, the
+        # unmapped one drops it
+        assert runner.engines["P"].state.performed_names() == ("ping", "ping")
+        assert runner.engines["A"].state.pv_names() == ("pong",)
+        assert runner.engines["B"].state.pv_names() == ()
+        trace = evolve_system(config, {"P": [Atom("go")]})
+        assert "ping" in trace.rounds[0].models["P"]
+        assert any(Atom("pong") in rnd.units["A"] for rnd in trace.rounds)
+        assert self.dropped(result.warnings) == [("P", "ping", "B")]
+        assert self.dropped(trace.warnings) == [("P", "ping", "B")]
 
 
 class TestEvolution:
