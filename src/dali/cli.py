@@ -142,7 +142,7 @@ def cmd_model(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from .oracle import SearchBounds, exhaustive_interleavings
+    from .oracle import exhaustive_interleavings
 
     program = _load_validated(args.agent)
     events = [a.name for a in parse_init_atoms(args.events)] if args.events else []
@@ -150,7 +150,7 @@ def cmd_oracle(args) -> int:
         program,
         inbox=events,
         query=args.query,
-        bounds=SearchBounds(max_states=args.max_states),
+        max_states=args.max_states,
     )
     for actions, pv in sorted(
         result.outcomes, key=lambda o: (o[0], tuple(sorted(o[1])))

@@ -23,7 +23,10 @@ recorded in the trace with a case label:
 A proof of an internal event, wherever it happens, runs as a nested
 subproof: when it completes, the event enters IV so the agent can react
 to its own conclusion.  Likewise an action with an action rule is
-performed exactly when its precondition subproof completes.
+performed exactly when its precondition subproof completes.  A subproof
+ends at a marker placed in the goal right after the body of the clause
+that opens it; only the leftmost atom is ever rewritten, so the
+subproof is complete exactly when its marker reaches the front.
 
 Scheduling is owned by a Strategy and is fully deterministic: pending
 completions first, then the internal phase (reactions from IV, else one
@@ -88,17 +91,17 @@ class Strategy:
 
 @dataclass(frozen=True, slots=True)
 class GoalAtom:
-    """One pending subgoal: the atom, its proof ancestors (for the loop
-    check) and the open nested-subproof regions it belongs to."""
+    """One pending subgoal: the atom and its proof ancestors (loop check)."""
 
     atom: Atom
     ancestors: frozenset[str] = frozenset()
-    regions: tuple[int, ...] = ()
 
 
 @dataclass(slots=True)
 class _Region:
-    """An open nested subproof with its completion effects."""
+    """A nested subproof's end marker in the goal, with its completion
+    effects.  Backtracking can restore a marker that already fired;
+    `done` keeps its effect from happening twice."""
 
     owner: Atom
     component: int
@@ -109,7 +112,7 @@ class _Region:
 
 @dataclass(frozen=True, slots=True)
 class _ChoicePoint:
-    atoms: tuple[GoalAtom, ...]
+    atoms: tuple[GoalAtom | _Region, ...]
     candidates: tuple[Clause, ...]
 
 
@@ -118,14 +121,14 @@ class Component:
     index: int
     origin: str
     origin_atom: Atom | None
-    atoms: tuple[GoalAtom, ...]
+    atoms: tuple[GoalAtom | _Region, ...]
     status: str = ACTIVE
     reaction_pending: bool = False
     choicepoints: list[_ChoicePoint] = field(default_factory=list)
     failure: str | None = None
 
     def goal_text(self) -> tuple[str, ...]:
-        return tuple(str(g.atom) for g in self.atoms)
+        return tuple(str(g.atom) for g in self.atoms if type(g) is GoalAtom)
 
 
 @dataclass(frozen=True, slots=True)
@@ -220,9 +223,7 @@ class Engine:
         self.state = AgentState()
         self.components: list[Component] = []
         self.records: list[StepRecord] = []
-        self._regions: dict[int, _Region] = {}
-        self._pending: list[int] = []  # region ids awaiting a completion record
-        self._next_region = 0
+        self._pending: list[_Region] = []  # subproofs awaiting a completion record
         self._rr = 0
         self._attempt_cursor = 0
         self._last_attempt: dict[str, int] = {}
@@ -243,7 +244,7 @@ class Engine:
                 f"agent {self.program.name}"
             )
         self._version += 1
-        if any(e.name == atom.name for e in self.state.ev):
+        if atom in self.state.ev:
             self.state.coalesced[atom.name] = self.state.coalesced.get(atom.name, 0) + 1
             return False
         self.state.ev.append(atom)
@@ -381,8 +382,6 @@ class Engine:
         internals = self.program.internals
         if not internals:
             return None
-        iv_names = {a.name for a in self.state.iv}
-        pv_names = {a.name for a in self.state.pv}
         attempting = {
             c.origin_atom.name
             for c in self.components
@@ -392,7 +391,7 @@ class Engine:
             a = internals[(self._attempt_cursor + offset) % len(internals)]
             if a.name in self._act_names:
                 continue
-            if a.name in iv_names or a.name in pv_names or a.name in attempting:
+            if a in self.state.iv or a in self.state.pv or a.name in attempting:
                 continue
             if self._last_attempt.get(a.name) == self._version:
                 continue
@@ -422,12 +421,12 @@ class Engine:
         ga = comp.atoms[0]
         atom = ga.atom
         if atom.marker == PRESENT:
-            if any(e.name == atom.name for e in st.ev):
+            if atom.base in st.ev:
                 self._replace_leftmost(comp, ())
                 return self._record(n, "iii", str(atom), comp)
             reason = f"now({atom.name}) unsatisfied: event not pending"
         elif atom.marker == PAST:
-            if any(p.name == atom.name for p in st.pv):
+            if atom.base in st.pv:
                 self._replace_leftmost(comp, ())
                 return self._record(n, "i", str(atom), comp)
             reason = f"past({atom.name}) unsatisfied: event never reacted to"
@@ -471,57 +470,39 @@ class Engine:
     def _resolve(self, comp: Component, clause: Clause, n) -> StepRecord:
         """SLD step: replace the selected atom with the clause body."""
         ga = comp.atoms[0]
-        ancestors = ga.ancestors | {ga.atom.name}
-        regions = ga.regions
-        opened: int | None = None
+        atom = ga.atom
+        ancestors = ga.ancestors | {atom.name}
+        children = tuple(GoalAtom(b, ancestors) for b in clause.body)
+        internal = atom.name in self._int_names
         if clause.kind == ACTION:
-            opened = self._open_region(
-                ga.atom, comp.index, perform=True,
-                record_iv=ga.atom.name in self._int_names,
-            )
-        elif clause.kind != REACTIVE and ga.atom.name in self._int_names:
+            children += (_Region(atom, comp.index, True, internal),)
+        elif clause.kind != REACTIVE and internal:
             # A proved internal event must be recorded; nest its subproof.
             # Resolving with the reactive rule is the reaction itself, so
             # it must not re-record the event.
-            opened = self._open_region(
-                ga.atom, comp.index, perform=False, record_iv=True
-            )
-        if opened is not None:
-            regions = regions + (opened,)
-        children = tuple(GoalAtom(b, ancestors, regions) for b in clause.body)
-        self._replace_leftmost(comp, children, opened)
-        return self._record(n, "i", str(ga.atom), comp)
+            children += (_Region(atom, comp.index, False, True),)
+        self._replace_leftmost(comp, children)
+        return self._record(n, "i", str(atom), comp)
 
-    def _replace_leftmost(self, comp: Component, children, opened=None) -> None:
-        """Replace the selected atom with children.  Every nested subproof
-        left with no atoms (including one just opened with an empty body)
-        is queued for its completion step; the component succeeds when
-        its goal is empty."""
-        before = {r for g in comp.atoms for r in g.regions}
-        if opened is not None:
-            before.add(opened)
-        comp.atoms = children + comp.atoms[1:]
-        present = {r for g in comp.atoms for r in g.regions}
-        # Innermost regions were opened last, so higher ids complete first.
-        for rid in sorted(before - present, reverse=True):
-            region = self._regions[rid]
-            if not region.done:
-                region.done = True
-                self._pending.append(rid)
-        if not comp.atoms:
+    def _replace_leftmost(self, comp: Component, children) -> None:
+        """Replace the selected atom with children, then pop the markers
+        that reach the front: each ends a nested subproof (innermost
+        first) and is queued for its completion step.  The component
+        succeeds when its goal is empty."""
+        atoms = children + comp.atoms[1:]
+        while atoms and type(atoms[0]) is _Region:
+            if not atoms[0].done:
+                atoms[0].done = True
+                self._pending.append(atoms[0])
+            atoms = atoms[1:]
+        comp.atoms = atoms
+        if not atoms:
             comp.status = SUCCEEDED
 
     # -- nested subproofs --------------------------------------------------
 
-    def _open_region(self, owner, comp_index, perform, record_iv) -> int:
-        rid = self._next_region
-        self._next_region += 1
-        self._regions[rid] = _Region(owner, comp_index, perform, record_iv)
-        return rid
-
     def _completion_step(self) -> StepRecord:
-        rid = self._pending.pop(0)
-        region = self._regions[rid]
+        region = self._pending.pop(0)
         n = len(self.records) + 1
         performed = None
         iv_added: tuple[str, ...] = ()
@@ -551,11 +532,9 @@ class Engine:
         # One live instance per conclusion: re-deriving an event that is
         # still pending, or that the agent already reacted to, does not
         # queue another reaction.
-        if any(e.name == atom.name for e in self.state.iv):
+        if atom in self.state.iv or atom in self.state.pv:
             return ()
-        if any(p.name == atom.name for p in self.state.pv):
-            return ()
-        self.state.iv.append(atom.base)
+        self.state.iv.append(atom)
         return (atom.name,)
 
 

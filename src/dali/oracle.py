@@ -34,10 +34,9 @@ def naive_fixpoint(clauses) -> frozenset[str]:
     return frozenset(model)
 
 
-@dataclass(frozen=True, slots=True)
-class SearchBounds:
-    max_states: int = 100_000
-    max_goal_atoms: int = 64
+# A state whose component goal grows past this many atoms is not
+# expanded, and the search counts as truncated.
+MAX_GOAL_ATOMS = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,7 +100,7 @@ def exhaustive_interleavings(
     program: AgentProgram,
     inbox=(),
     query: Atom | str | None = None,
-    bounds: SearchBounds | None = None,
+    max_states: int = 100_000,
 ) -> ReachabilityResult:
     """Enumerate every outcome reachable under some interleaving.
 
@@ -110,9 +109,8 @@ def exhaustive_interleavings(
     applicable moves, if any, are self-triggered attempts, since a
     strategy may schedule those never; attempt branches are explored as
     well.  Only intended for tiny instances; the search truncates at
-    bounds.max_states.
+    max_states.
     """
-    bounds = bounds or SearchBounds()
     internal_names = program.internal_names
     action_names = program.action_names
 
@@ -257,7 +255,7 @@ def exhaustive_interleavings(
 
     while queue:
         state = queue.popleft()
-        if any(len(atoms) > bounds.max_goal_atoms for _, atoms in state.comps):
+        if any(len(atoms) > MAX_GOAL_ATOMS for _, atoms in state.comps):
             truncated = True
             continue
         succ = successors(state)
@@ -273,7 +271,7 @@ def exhaustive_interleavings(
             nxt = _canon(nxt)
             if nxt in seen:
                 continue
-            if len(seen) >= bounds.max_states:
+            if len(seen) >= max_states:
                 truncated = True
                 break
             seen.add(nxt)

@@ -36,6 +36,9 @@ from .model import PRESENT, AgentProgram, Atom, validate_program
 from .parser import EventScript, load_agent_file, load_event_script, read_source
 from .semantics import InitialSituation, least_model, transform_program
 
+# `evolve_system` stops after this many rounds if no fixpoint is reached.
+MAX_EVOLUTION_ROUNDS = 32
+
 
 @dataclass(frozen=True, slots=True)
 class ChannelMapping:
@@ -68,7 +71,6 @@ class SystemConfig:
     mapping: ChannelMapping = field(default_factory=ChannelMapping)
     max_ticks: int = 100
     budget: int = 50
-    max_evolution_rounds: int = 32
 
     def validate(self) -> None:
         for entry in self.script.entries:
@@ -318,7 +320,6 @@ class EvolutionRound:
 class EvolutionTrace:
     rounds: tuple[EvolutionRound, ...]
     reached_fixpoint: bool
-    truncated: bool
     warnings: tuple[str, ...] = ()
 
 
@@ -351,7 +352,7 @@ def evolve_system(
     broadcast = _Broadcast(config, "derived action")
     reached_fixpoint = False
 
-    for _ in range(config.max_evolution_rounds):
+    for _ in range(MAX_EVOLUTION_ROUNDS):
         models: dict[str, frozenset[str]] = {}
         for name, program in agents.items():
             tp = transform_program(program, InitialSituation(_sorted_units(units[name])))
@@ -386,10 +387,7 @@ def evolve_system(
         units = next_units
 
     return EvolutionTrace(
-        tuple(rounds),
-        reached_fixpoint,
-        not reached_fixpoint,
-        tuple(broadcast.warnings.values()),
+        tuple(rounds), reached_fixpoint, tuple(broadcast.warnings.values())
     )
 
 

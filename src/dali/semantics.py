@@ -121,57 +121,38 @@ def transform_program(
     init.validated(p)
     action_names = p.action_names
 
-    def guarded(idx, clause, head, rule):
-        body = (clause.head.name,) + tuple(mangle(a) for a in clause.body)
-        return TransformedClause(head, body, rule, idx)
-
-    # Step 1: reactive rules become guarded pairs; ordinary clauses pass
-    # through with markers renamed; action rules are dropped here and
-    # folded into step 2 as preconditions.  Each group holds the step-1
-    # output of one source clause; past-transform clauses are not scanned
-    # for actions (anything they could generate is already subsumed by
-    # the clause generated from the guarded pair's first half).
-    groups: list[list[tuple[TransformedClause, bool]]] = []
-    for idx, c in enumerate(p.clauses):
-        if c.kind == REACTIVE:
-            groups.append(
-                [
-                    (guarded(idx, c, c.head.name, RULE_REACTIVE), True),
-                    (guarded(idx, c, f"past_{c.head.name}", RULE_PAST), False),
-                ]
-            )
-        elif c.kind == ACTION:
-            continue
-        else:
-            body = tuple(mangle(a) for a in c.body)
-            groups.append(
-                [(TransformedClause(c.head.name, body, RULE_ORDINARY, idx), True)]
-            )
-
+    # Action rules yield no clause of their own: their bodies become the
+    # preconditions of the derivation clauses below.
     preconditions: dict[str, tuple[str, ...]] = {}
     for name in action_names:
         rule = p.action_clause(name)
         if rule is not None:
             preconditions[name] = tuple(mangle(a) for a in rule.body)
 
-    # Step 2: every performing clause yields one derivation clause per
-    # action atom in its body, placed right after the clauses produced
-    # from the same source clause.
+    # Reactive rules become guarded pairs and ordinary clauses pass
+    # through with markers renamed.  Right after them come the derivation
+    # clauses, one per action atom in the body of the ordinary clause or
+    # of the pair's first half; the past half is not scanned, since
+    # anything it could generate is subsumed by the first half's.
     out: list[TransformedClause] = []
-    for group in groups:
-        out.extend(tc for tc, _ in group)
-        for tc, scan in group:
-            if not scan:
-                continue
-            non_actions = tuple(a for a in tc.body if a not in action_names)
-            for a in tc.body:
-                if a in action_names:
-                    body = _dedupe_names(
-                        (tc.head,) + non_actions + preconditions.get(a, ())
-                    )
-                    out.append(TransformedClause(a, body, RULE_ACTION, tc.source))
+    for idx, c in enumerate(p.clauses):
+        if c.kind == ACTION:
+            continue
+        head = c.head.name
+        if c.kind == REACTIVE:
+            body = (head,) + tuple(mangle(a) for a in c.body)
+            out.append(TransformedClause(head, body, RULE_REACTIVE, idx))
+            out.append(TransformedClause(f"past_{head}", body, RULE_PAST, idx))
+        else:
+            body = tuple(mangle(a) for a in c.body)
+            out.append(TransformedClause(head, body, RULE_ORDINARY, idx))
+        non_actions = tuple(a for a in body if a not in action_names)
+        for a in body:
+            if a in action_names:
+                derived = _dedupe_names((head,) + non_actions + preconditions.get(a, ()))
+                out.append(TransformedClause(a, derived, RULE_ACTION, idx))
 
-    # Step 3: unit clauses for the initial situation.
+    # Unit clauses for the initial situation.
     ext = p.external_names
     for a in init.events:
         if a.marker == PAST:

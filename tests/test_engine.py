@@ -153,6 +153,23 @@ class TestActions:
         assert r.query_succeeded
         assert r.state.performed_names() == ("a", "b")
 
+    def test_backtracking_into_a_completed_subproof_does_not_redo_it(self):
+        # a's precondition subproof completes through c :- d, then
+        # `impossible` fails and the retry c :- e brings a's end marker
+        # back to the front of the goal; a must not be performed again
+        r = run_agent(
+            program(
+                "agent A. @action a. p :- a, impossible. "
+                "a :< c. c :- d. c :- e. d. e."
+            ),
+            query="p",
+        )
+        assert r.query_succeeded is False
+        assert r.state.performed_names() == ("a",)
+        completion = [rec for rec in r.records if rec.performed == "a"]
+        assert len(completion) == 1
+        assert completion[0].case == "ii"
+
 
 class TestEvents:
     def test_external_reaction_consumes_event(self, scenario):
@@ -456,5 +473,3 @@ def test_strategy_validation():
         Strategy(event_check_period=0)
     with pytest.raises(ValueError):
         Strategy(internal_check_period=-1)
-    with pytest.raises(TypeError):
-        Strategy(goal_schedule="random")

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dali.engine import run_agent
-from dali.oracle import SearchBounds, exhaustive_interleavings, naive_fixpoint
+from dali.oracle import exhaustive_interleavings, naive_fixpoint
 from dali.parser import parse_agent_file
 from dali.semantics import least_model
 
@@ -82,7 +82,7 @@ class TestExhaustiveInterleavings:
 
     def test_state_bound_truncates(self, scenario):
         r = exhaustive_interleavings(
-            scenario("anne"), inbox=["invitation"], bounds=SearchBounds(max_states=5)
+            scenario("anne"), inbox=["invitation"], max_states=5
         )
         assert r.truncated
         assert r.explored <= 5
