@@ -34,11 +34,18 @@ attempt) on its period, then one step of the round-robin component, then
 external event joins.  Periods shape priority only; whenever the
 preferred work is absent, any applicable step fires, so the interpreter
 never idles while work remains.
+
+A step's cost does not depend on the run's history.  Finished components
+leave the round-robin list, running attempts are a live set, and the
+sorted PV names are one tuple, updated only when PV grows and shared by
+every record; so no step rescans what earlier steps created.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .errors import DaliConfigError, DaliValidationError
 from .model import (
@@ -65,6 +72,8 @@ SUCCEEDED = "succeeded"
 FAILED = "failed"
 
 TRACE_FIELDS = ("step", "case", "agent", "selected", "component", "ev", "iv", "pv", "performed")
+
+_INDEX = attrgetter("index")
 
 
 @dataclass(frozen=True, slots=True)
@@ -223,6 +232,9 @@ class Engine:
         self.state = AgentState()
         self.components: list[Component] = []
         self.records: list[StepRecord] = []
+        self._active: list[Component] = []  # the ACTIVE components, by index
+        self._attempting: set[str] = set()  # events with a running attempt
+        self._pv_names: tuple[str, ...] = ()  # sorted PV names, shared by records
         self._pending: list[_Region] = []  # subproofs awaiting a completion record
         self._rr = 0
         self._attempt_cursor = 0
@@ -253,9 +265,7 @@ class Engine:
     def add_query(self, atom: Atom | str) -> int:
         """Add a user query as a new component; returns its index."""
         a = parse_atom_text(atom) if isinstance(atom, str) else atom
-        comp = Component(len(self.components), QUERY, a, (GoalAtom(a),))
-        self.components.append(comp)
-        return comp.index
+        return self._add_component(QUERY, a).index
 
     # -- stepping ----------------------------------------------------------
 
@@ -267,7 +277,7 @@ class Engine:
     def quiescent(self) -> bool:
         if self._pending or self.state.ev or self.state.iv:
             return False
-        if any(c.status == ACTIVE for c in self.components):
+        if self._active:
             return False
         return self._find_attempt() is None
 
@@ -333,7 +343,7 @@ class Engine:
             goal=comp.goal_text(),
             ev=st.ev_names(),
             iv=st.iv_names(),
-            pv=st.pv_names(),
+            pv=self._pv_names,
             **deltas,
         )
         self.records.append(rec)
@@ -342,14 +352,14 @@ class Engine:
     def _internal_phase(self, n) -> StepRecord | None:
         if self.state.iv:
             return self._join(n, self.state.iv, INTERNAL_REACTION, "v", "iv_removed")
-        atom = self._find_attempt()
-        if atom is None:
+        pos = self._find_attempt()
+        if pos is None:
             return None
         internals = self.program.internals
-        self._attempt_cursor = (internals.index(atom) + 1) % len(internals)
+        atom = internals[pos]
+        self._attempt_cursor = (pos + 1) % len(internals)
         self._last_attempt[atom.name] = self._version
-        comp = Component(len(self.components), INTERNAL_ATTEMPT, atom, (GoalAtom(atom),))
-        self.components.append(comp)
+        comp = self._add_component(INTERNAL_ATTEMPT, atom)
         return self._record(n, "vi", atom.name, comp)
 
     def _join(self, n, queue: list[Atom], origin, case, removed) -> StepRecord:
@@ -361,18 +371,18 @@ class Engine:
         if event not in st.pv:
             st.pv.add(event)
             pv_added = (event.name,)
+            names = list(self._pv_names)
+            insort(names, event.name)
+            self._pv_names = tuple(names)
         self._version += 1
-        comp = Component(
-            len(self.components), origin, event, (GoalAtom(event),),
-            reaction_pending=True,
-        )
-        self.components.append(comp)
+        comp = self._add_component(origin, event, reaction_pending=True)
         return self._record(
             n, case, event.name, comp, pv_added=pv_added, **{removed: (event.name,)}
         )
 
-    def _find_attempt(self) -> Atom | None:
-        """Next internal event worth attempting, in declaration order.
+    def _find_attempt(self) -> int | None:
+        """Position in `program.internals` of the next internal event
+        worth attempting, in declaration order from the cursor.
 
         Pure internal events only: attempting a dual action/internal atom
         would perform the action unprompted.  An event is skipped while
@@ -382,35 +392,33 @@ class Engine:
         internals = self.program.internals
         if not internals:
             return None
-        attempting = {
-            c.origin_atom.name
-            for c in self.components
-            if c.origin == INTERNAL_ATTEMPT and c.status == ACTIVE
-        }
         for offset in range(len(internals)):
-            a = internals[(self._attempt_cursor + offset) % len(internals)]
+            pos = (self._attempt_cursor + offset) % len(internals)
+            a = internals[pos]
             if a.name in self._act_names:
                 continue
-            if a in self.state.iv or a in self.state.pv or a.name in attempting:
+            if a in self.state.iv or a in self.state.pv or a.name in self._attempting:
                 continue
             if self._last_attempt.get(a.name) == self._version:
                 continue
-            return a
+            return pos
         return None
 
     def _advance_components(self, n) -> StepRecord | None:
-        comps = self.components
-        total = len(comps)
-        for i in range(total):
-            idx = (self._rr + i) % total
-            comp = comps[idx]
-            if comp.status != ACTIVE:
-                continue
+        """One step of the first active component whose index is at
+        least `_rr`, wrapping around; `_rr` then moves past it."""
+        active = self._active
+        i = bisect_left(active, self._rr, key=_INDEX)
+        for _ in range(len(active)):
+            if i == len(active):
+                i = 0
+            comp = active[i]
             rec = self._advance(comp, n)
             if rec is not None:
-                self._rr = (idx + 1) % max(len(self.components), 1)
+                self._rr = (comp.index + 1) % len(self.components)
                 return rec
-            # the component failed; keep scanning for other work
+            # The component failed and left the list, so position i now
+            # holds the next one; keep looking for other work.
         return None
 
     def _advance(self, comp: Component, n) -> StepRecord | None:
@@ -459,8 +467,7 @@ class Engine:
         # the selected atom's next clause; that retry is the transition.
         cp = comp.choicepoints.pop() if comp.choicepoints else None
         if cp is None:
-            comp.status = FAILED
-            comp.failure = reason
+            self._finish(comp, FAILED, reason)
             return None
         comp.atoms = cp.atoms
         if len(cp.candidates) > 1:
@@ -497,7 +504,29 @@ class Engine:
             atoms = atoms[1:]
         comp.atoms = atoms
         if not atoms:
-            comp.status = SUCCEEDED
+            self._finish(comp, SUCCEEDED)
+
+    # -- component lifecycle -----------------------------------------------
+
+    def _add_component(self, origin, atom: Atom, reaction_pending=False) -> Component:
+        comp = Component(
+            len(self.components), origin, atom, (GoalAtom(atom),),
+            reaction_pending=reaction_pending,
+        )
+        self.components.append(comp)
+        self._active.append(comp)
+        if origin == INTERNAL_ATTEMPT:
+            self._attempting.add(atom.name)
+        return comp
+
+    def _finish(self, comp: Component, status: str, failure: str | None = None) -> None:
+        """The only change of a component's status: it leaves the active
+        list and, for an attempt, the running attempts."""
+        comp.status = status
+        comp.failure = failure
+        del self._active[bisect_left(self._active, comp.index, key=_INDEX)]
+        if comp.origin == INTERNAL_ATTEMPT:
+            self._attempting.discard(comp.origin_atom.name)
 
     # -- nested subproofs --------------------------------------------------
 
@@ -571,21 +600,23 @@ def run_agent(
     )
     budget = max_steps if max_steps is not None else engine.strategy.max_steps
     truncated = False
+    i = 0  # pending[i:] are still to be delivered
+
+    def deliver(up_to: int) -> None:
+        nonlocal i
+        while i < len(pending) and pending[i].tick <= up_to:
+            engine.inject(pending[i].event)
+            i += 1
+
     while True:
-        while pending and pending[0].tick <= engine.steps_taken:
-            engine.inject(pending.pop(0).event)
+        deliver(engine.steps_taken)
         if engine.steps_taken >= budget:
-            truncated = not engine.quiescent or bool(pending)
+            truncated = not engine.quiescent or i < len(pending)
             break
-        rec = engine.step()
-        if rec is None:
-            if pending:
-                first = pending.pop(0)
-                engine.inject(first.event)
-                while pending and pending[0].tick == first.tick:
-                    engine.inject(pending.pop(0).event)
-                continue
-            break
+        if engine.step() is None:
+            if i == len(pending):
+                break
+            deliver(pending[i].tick)
     outcomes = engine.component_outcomes()
     query_ok = None
     if query_index is not None:

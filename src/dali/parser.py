@@ -21,7 +21,9 @@ with nonnegative, nondecreasing ticks.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import DaliError, DaliSyntaxError, SourceSpan
 from .model import (
@@ -222,17 +224,30 @@ class ScriptEntry:
     event: Atom
 
 
+_TICK = attrgetter("tick")
+
+
 @dataclass(frozen=True, slots=True)
 class EventScript:
-    """Timed external-event injections, ordered by tick."""
+    """Timed external-event injections, ordered by tick.
+
+    The order lets `due` and `after` find their entries by bisection,
+    so a lookup costs O(log n) plus the entries it returns.
+    """
 
     entries: tuple[ScriptEntry, ...] = ()
 
+    def __post_init__(self):
+        if any(a.tick > b.tick for a, b in zip(self.entries, self.entries[1:])):
+            raise ValueError("event script entries must be ordered by tick")
+
     def due(self, tick: int) -> tuple[ScriptEntry, ...]:
-        return tuple(e for e in self.entries if e.tick == tick)
+        entries = self.entries
+        start = bisect_left(entries, tick, key=_TICK)
+        return entries[start : bisect_right(entries, tick, lo=start, key=_TICK)]
 
     def after(self, tick: int) -> tuple[ScriptEntry, ...]:
-        return tuple(e for e in self.entries if e.tick > tick)
+        return self.entries[bisect_right(self.entries, tick, key=_TICK) :]
 
 
 def parse_event_script(text: str, filename: str = "<string>") -> EventScript:
@@ -293,9 +308,12 @@ def parse_init_atoms(spec: str) -> tuple[Atom, ...]:
 
 def parse_atom_text(text: str) -> Atom:
     """Parse a single body-atom form: `x`, `past(x)` or `now(x)`."""
-    atoms = parse_init_atoms(text)
+    try:
+        atoms = parse_init_atoms(text)
+    except DaliSyntaxError:
+        atoms = ()
     if len(atoms) != 1:
-        raise DaliSyntaxError(f"expected one atom, got {text!r}")
+        raise DaliSyntaxError(f"bad atom {text!r}: expected x, past(x) or now(x)")
     return atoms[0]
 
 

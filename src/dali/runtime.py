@@ -125,6 +125,8 @@ def load_system_config(path) -> SystemConfig:
         span = SourceSpan(str(path), lineno, 1)
         key, _, rest = line.partition(" ")
         rest = rest.strip()
+        if key in ("agent", "script") and not rest:
+            raise DaliSyntaxError(f"{key} directive needs a file name", span)
         if key == "agent":
             program = load_agent_file(base / rest)
             report = validate_program(program)

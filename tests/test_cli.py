@@ -133,6 +133,23 @@ class TestValidationDiagnostics:
         assert run_cli(capsys, "model", str(bad)) == (3, "", err)
 
 
+class TestBadAtom:
+    @pytest.mark.parametrize("text", ["p(", "past(p", "now(1)", "a,b"])
+    @pytest.mark.parametrize("form", ["query", "repl query", "repl inject"])
+    def test_names_the_atom_given(self, capsys, monkeypatch, scenario_dir, form, text):
+        if form == "query":
+            code, out, err = run_cli(capsys, "query", str(scenario_dir / "mary.dali"), text)
+            assert (code, out) == (3, "")
+        else:
+            command = form.split()[1]
+            monkeypatch.setattr("sys.stdin", io.StringIO(f"{command} Mary {text}\nquit\n"))
+            code, out, err = run_cli(capsys, "repl", str(scenario_dir / "mary.system"))
+            assert code == 0
+            err = out.splitlines()[1].removeprefix("dali> ")
+        assert f"bad atom {text!r}: expected x, past(x) or now(x)" in err
+        assert "init list" not in err
+
+
 class TestUnreadableInput:
     @pytest.mark.parametrize("how", ["directory", "not utf-8"])
     @pytest.mark.parametrize(
@@ -236,6 +253,8 @@ class TestSystemConfigIntegers:
             ("max_ticks -1", ">= 0"),
             ("budget 0", ">= 1"),
             ("budget -4", ">= 1"),
+            ("agent", "agent directive needs a file name"),
+            ("script", "script directive needs a file name"),
         ],
     )
     def test_bad_value_is_exit_3_at_the_directive(

@@ -1,0 +1,153 @@
+"""Single-agent step records pinned byte for byte, and the engine's
+live scheduling state checked against a recomputation.
+
+Every single-agent scenario runs through `run_agent` with its `.events`
+inbox where it has one, plus a few queries and a 30-event chain built
+here.  Each run's step records, every field included, and its component
+outcomes must match the JSONL file stored under `tests/data/engine/`.
+After every step of the same runs, the engine's active list, running
+attempts and shared PV tuple must equal what a scan of the whole run
+gives.
+
+Regenerate the files (only when a change of behaviour is intended):
+
+    PYTHONPATH=src python tests/test_engine_records.py
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+from pathlib import Path
+
+import pytest
+
+from dali.engine import ACTIVE, FAILED, INTERNAL_ATTEMPT, SUCCEEDED, Engine, run_agent
+from dali.parser import load_agent_file, load_event_script, parse_agent_file
+
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "scenarios"
+DATA = Path(__file__).resolve().parent / "data" / "engine"
+
+QUERIES = [
+    ("action1", "p"),
+    ("action2", "p"),
+    ("snapshot1", "p"),
+    ("snapshot2", "p"),
+    ("george", "happy"),
+    ("anne", "go_out"),
+]
+
+
+def chain_source(n: int = 30) -> str:
+    """n internal events, each enabled by the previous one's reaction,
+    declared out of chain order so that most attempts fail, plus an
+    external event that arrives in bursts while the chain runs."""
+    lines = ["agent Chain.", "@external ping."]
+    lines += [f"@internal e_{(7 * i) % n}." for i in range(n)]
+    lines += [f"@action a_{k}." for k in range(n)] + ["@action pong."]
+    lines.append("e_0.")
+    for k in range(n):
+        if k:
+            lines.append(f"e_{k} :- past(e_{k - 1}).")
+        lines.append(f"e_{k} :> a_{k}.")
+    lines.append("ping :> pong.")
+    return "\n".join(lines) + "\n"
+
+
+CHAIN_INBOX = [(0, "ping"), (7, "ping"), (7, "ping"), (60, "ping"),
+               (100_000, "ping"), (100_000, "ping")]
+
+
+def runs():
+    """(name, program, query, inbox) of every pinned run."""
+    out = []
+    for path in sorted(SCENARIOS.glob("*.dali")):
+        events = path.with_suffix(".events")
+        inbox = []
+        if events.exists():
+            inbox = [(e.tick, e.event) for e in load_event_script(events).entries]
+        out.append((path.stem, load_agent_file(path), None, inbox))
+    for stem, query in QUERIES:
+        out.append((f"{stem}-query-{query}",
+                    load_agent_file(SCENARIOS / f"{stem}.dali"), query, []))
+    out.append(("chain30", parse_agent_file(chain_source()), None, CHAIN_INBOX))
+    return out
+
+
+RUNS = runs()
+
+
+def record_lines(program, query, inbox) -> list[str]:
+    result = run_agent(program, query=query, inbox=inbox)
+    lines = [{"record": dataclasses.asdict(r)} for r in result.records]
+    lines += [{"outcome": dataclasses.asdict(o)} for o in result.outcomes]
+    lines.append({"truncated": result.truncated,
+                  "query_succeeded": result.query_succeeded})
+    return [json.dumps(line) for line in lines]
+
+
+@pytest.mark.parametrize("name,program,query,inbox", RUNS, ids=[r[0] for r in RUNS])
+def test_records_match_golden(name, program, query, inbox):
+    golden = (DATA / f"{name}.jsonl").read_text(encoding="utf-8").splitlines()
+    assert record_lines(program, query, inbox) == golden
+
+
+def test_chain_run_is_long_and_busy():
+    """The chain must exercise what a short scenario does not: many
+    failed attempts, late inbox entries and coalesced arrivals."""
+    result = run_agent(parse_agent_file(chain_source()), inbox=CHAIN_INBOX)
+    assert len(result.records) > 500
+    assert sum(o.status == FAILED for o in result.outcomes) > 100
+    assert result.state.coalesced
+    assert not result.truncated
+
+
+def check_live_state(engine: Engine) -> None:
+    active = [c for c in engine.components if c.status == ACTIVE]
+    assert [c.index for c in engine._active] == [c.index for c in active]
+    assert all(a is b for a, b in zip(engine._active, active))
+    assert engine._attempting == {
+        c.origin_atom.name for c in active if c.origin == INTERNAL_ATTEMPT
+    }
+    assert engine._pv_names == engine.state.pv_names()
+    if engine.records:
+        assert engine.records[-1].pv is engine._pv_names
+
+
+@pytest.mark.parametrize("name,program,query,inbox", RUNS, ids=[r[0] for r in RUNS])
+def test_live_state_matches_recomputation(monkeypatch, name, program, query, inbox):
+    step = Engine.step
+    checked = []
+
+    def checked_step(self):
+        rec = step(self)
+        check_live_state(self)
+        checked.append(rec)
+        return rec
+
+    monkeypatch.setattr(Engine, "step", checked_step)
+    result = run_agent(program, query=query, inbox=inbox)
+    assert len(checked) >= len(result.records)
+
+
+def test_round_robin_skips_a_failed_middle_component():
+    engine = Engine(parse_agent_file("agent RR. p :- x, x, x. x."))
+    for query in ("p", "missing", "p"):
+        engine.add_query(query)
+    records = engine.run()
+    assert [r.component for r in records] == [0, 2, 0, 2, 0, 2, 0, 2]
+    assert [c.status for c in engine.components] == [SUCCEEDED, FAILED, SUCCEEDED]
+    assert engine.components[1].failure == "no clause for 'missing'"
+    assert engine._active == [] and engine.quiescent
+
+
+def write() -> None:
+    DATA.mkdir(parents=True, exist_ok=True)
+    for name, program, query, inbox in RUNS:
+        text = "\n".join(record_lines(program, query, inbox)) + "\n"
+        (DATA / f"{name}.jsonl").write_text(text, encoding="utf-8")
+
+
+if __name__ == "__main__":
+    write()

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from dali.errors import DaliSyntaxError
 from dali.model import ACTION, ORDINARY, REACTIVE, AgentProgram, Atom, Clause
 from dali.parser import (
+    EventScript,
     parse_agent_file,
     parse_atom_text,
     parse_event_script,
@@ -110,9 +111,18 @@ class TestEventScripts:
         assert len(s.entries) == 1
 
     def test_due_and_after(self):
-        s = parse_event_script("0 A x\n0 A y\n4 A z\n")
+        s = parse_event_script("0 A x\n0 A y\n4 A z\n4 A w\n9 A v\n")
         assert [e.event.name for e in s.due(0)] == ["x", "y"]
-        assert [e.tick for e in s.after(0)] == [4]
+        assert [e.tick for e in s.after(0)] == [4, 4, 9]
+        assert [e.event.name for e in s.due(4)] == ["z", "w"]
+        assert s.due(2) == s.due(10) == () and s.after(9) == ()
+        assert [e.tick for e in s.after(-1)] == [0, 0, 4, 4, 9]
+        assert [e.tick for e in s.after(5)] == [9]
+
+    def test_entries_must_be_ordered_by_tick(self):
+        s = parse_event_script("0 A x\n4 A z\n")
+        with pytest.raises(ValueError, match="ordered by tick"):
+            EventScript(s.entries[::-1])
 
 
 class TestInitAtoms:
