@@ -110,8 +110,9 @@ class AgentProgram:
     Role sets keep declaration order (it drives the interpreter's
     round-robin over internal events) but behave as sets: duplicates are
     dropped on construction.  The program is immutable, so the name sets
-    and the head-name clause indexes are built once, here, and are not
-    part of equality, hashing or repr.
+    and the head-name clause indexes are built once, here, and the
+    validation report on the first `validate_program` call; none of them
+    is part of equality, hashing or repr.
     """
 
     name: str
@@ -128,6 +129,7 @@ class AgentProgram:
     _defining: dict[str, tuple[Clause, ...]] = field(
         init=False, repr=False, compare=False
     )
+    _report: ValidationReport | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         setattr_ = object.__setattr__
@@ -156,6 +158,7 @@ class AgentProgram:
         setattr_(self, "_reactive", reactive)
         setattr_(self, "_action", action)
         setattr_(self, "_defining", {h: tuple(cs) for h, cs in defining.items()})
+        setattr_(self, "_report", None)
 
     # -- clause lookup ----------------------------------------------------
 
@@ -204,8 +207,17 @@ def validate_program(p: AgentProgram) -> ValidationReport:
     """Check every structural restriction on an agent program.
 
     Pure and deterministic; violations are reported as data, never raised.
-    Programs with an empty error list are accepted by the engine.
+    Programs with an empty error list are accepted by the engine.  The
+    report is computed once per program and kept on it.
     """
+    report = p._report
+    if report is None:
+        report = _validate(p)
+        object.__setattr__(p, "_report", report)
+    return report
+
+
+def _validate(p: AgentProgram) -> ValidationReport:
     errors: list[ValidationIssue] = []
     warnings: list[str] = []
     ext = p.external_names

@@ -5,7 +5,11 @@ action performed by one agent at tick t becomes an external event in
 every *other* agent's inbox at tick t+1 (never its own), routed through
 a channel mapping that defaults to the identity: the action atom's name
 must be a declared external event of the consumer, otherwise the
-delivery is dropped with a warning.
+delivery is dropped with a warning.  Each (producer, action) pair is
+routed once, on first use, from the agents that declare each external
+event and the mapping's entries for the pair; after that, a delivery
+visits only the consumers that receive it.  `load_system_config`
+validates each agent program, and `Engine` reuses the report kept on it.
 
 The same broadcast rule drives `evolve_system`, which iterates snapshot
 models instead of the interpreter: each round rebuilds every agent's
@@ -50,18 +54,22 @@ class ChannelMapping:
     """
 
     entries: tuple[tuple[str, str, str, str], ...] = ()  # producer, action, consumer, event
-    _index: dict[tuple[str, str, str], str] = field(
+    _index: dict[tuple[str, str], dict[str, str]] = field(
         init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
-        index: dict[tuple[str, str, str], str] = {}
+        index: dict[tuple[str, str], dict[str, str]] = {}
         for p, a, c, e in self.entries:
-            index.setdefault((p, a, c), e)
+            index.setdefault((p, a), {}).setdefault(c, e)
         object.__setattr__(self, "_index", index)
 
+    def targets(self, producer: str, action: str) -> dict[str, str]:
+        """Consumer -> event for every entry of (producer, action)."""
+        return self._index.get((producer, action), {})
+
     def resolve(self, producer: str, action: str, consumer: str) -> str:
-        return self._index.get((producer, action, consumer), action)
+        return self.targets(producer, action).get(consumer, action)
 
 
 @dataclass(slots=True)
@@ -87,6 +95,11 @@ class SystemConfig:
                 raise DaliConfigError(f"map source '{p}' is not a known agent")
             if c not in self.agents:
                 raise DaliConfigError(f"map target '{c}' is not a known agent")
+            if c == p:
+                raise DaliConfigError(
+                    f"map target '{c}' is the producer of '{a}'; "
+                    f"an agent never receives its own actions"
+                )
             if a not in self.agents[p].action_names:
                 raise DaliConfigError(f"'{a}' is not a declared action of agent {p}")
             if e not in self.agents[c].external_names:
@@ -165,30 +178,61 @@ def load_system_config(path) -> SystemConfig:
 class _Broadcast:
     """The broadcast rule of the tick runtime and of `evolve_system`.
 
-    An action performed (or derived) by a producer reaches a consumer
-    as the event the channel mapping names, when the consumer declares
-    that event as external; otherwise the delivery is dropped, with one
-    warning per (producer, action, consumer).
+    An action performed (or derived) by a producer reaches every other
+    agent that declares, as external, the event the channel mapping
+    names for it; every other agent drops it, with one warning per
+    (producer, action, consumer).  The route of a (producer, action) is
+    built on its first use from the agents that declare each external
+    event and the mapping's entries for the pair, so routing visits
+    only the agents that receive.
     """
 
     def __init__(self, config: SystemConfig, kind: str):
+        self.agents = config.agents
         self.mapping = config.mapping
-        self.externals = {n: p.external_names for n, p in config.agents.items()}
         self.kind = kind  # how warnings name the action
-        self.warnings: dict[tuple[str, str, str], str] = {}  # in first-drop order
+        self._order = {name: i for i, name in enumerate(config.agents)}
+        self._subscribers: dict[str, list[str]] = {}  # event -> agents, in order
+        for name, program in config.agents.items():
+            for e in program.externals:
+                self._subscribers.setdefault(e.name, []).append(name)
+        # (producer, action) -> (consumer, event) pairs, in first-use order
+        self.routes: dict[tuple[str, str], tuple[tuple[str, Atom], ...]] = {}
 
-    def target(self, producer: str, action: str, consumer: str) -> str | None:
-        """The event `consumer` receives, or None if it is dropped."""
-        event = self.mapping.resolve(producer, action, consumer)
-        if event in self.externals[consumer]:
-            return event
-        key = (producer, action, consumer)
-        if key not in self.warnings:
-            self.warnings[key] = (
-                f"{self.kind} '{action}' by {producer} has no external "
-                f"event at {consumer}; dropped"
+    def route(self, producer: str, action: str) -> tuple[tuple[str, Atom], ...]:
+        """The (consumer, event) deliveries of an action, in agent order."""
+        key = (producer, action)
+        route = self.routes.get(key)
+        if route is None:
+            mapped = self.mapping.targets(producer, action)
+            hits = {
+                c: action for c in self._subscribers.get(action, ()) if c not in mapped
+            }
+            for c, e in mapped.items():
+                if e in self.agents[c].external_names:
+                    hits[c] = e
+            hits.pop(producer, None)
+            route = self.routes[key] = tuple(
+                (c, Atom(hits[c])) for c in sorted(hits, key=self._order.__getitem__)
             )
-        return None
+        return route
+
+    def warnings(self, groups: Iterable[Iterable[tuple[str, str]]]) -> tuple[str, ...]:
+        """One warning per dropped delivery of the routed (producer,
+        action) pairs, group by group; within a group, consumer-major."""
+        out: list[str] = []
+        for pairs in groups:
+            drops = [
+                (p, a, {c for c, _ in self.routes[p, a]} | {p}) for p, a in pairs
+            ]
+            for c in self.agents:
+                for p, a, skip in drops:
+                    if c not in skip:
+                        out.append(
+                            f"{self.kind} '{a}' by {p} has no external "
+                            f"event at {c}; dropped"
+                        )
+        return tuple(out)
 
 
 @dataclass(frozen=True, slots=True)
@@ -223,18 +267,12 @@ class SystemRunner:
     # -- broadcast ---------------------------------------------------------
 
     def _route(self, producer: str, atom: Atom, due_tick: int, immediate: bool):
-        for consumer in self.config.agents:
-            if consumer == producer:
-                continue
-            target = self._broadcast.target(producer, atom.name, consumer)
-            if target is None:
-                continue
-            if immediate:
-                self.engines[consumer].inject(Atom(target))
-            else:
-                self._deliveries.setdefault(due_tick, []).append(
-                    (consumer, Atom(target))
-                )
+        route = self._broadcast.route(producer, atom.name)
+        if immediate:
+            for consumer, event in route:
+                self.engines[consumer].inject(event)
+        elif route:
+            self._deliveries.setdefault(due_tick, []).extend(route)
 
     def _drain_actions(self, immediate: bool = False):
         actions, self._actions = self._actions, []
@@ -280,7 +318,7 @@ class SystemRunner:
             quiescent,
             self.tick,
             tuple(self.trace),
-            tuple(self._broadcast.warnings.values()),
+            self._broadcast.warnings([pair] for pair in self._broadcast.routes),
         )
 
     # -- step-granular interface (REPL) ------------------------------------
@@ -352,6 +390,7 @@ def evolve_system(
     }
     rounds: list[EvolutionRound] = []
     broadcast = _Broadcast(config, "derived action")
+    routed: list[int] = []  # len(broadcast.routes) after each round
     reached_fixpoint = False
 
     for _ in range(MAX_EVOLUTION_ROUNDS):
@@ -361,36 +400,34 @@ def evolve_system(
             models[name] = least_model(tp)
         rounds.append(EvolutionRound(dict(units), models))
 
-        next_units: dict[str, frozenset[Atom]] = {}
+        nxt: dict[str, set[Atom]] = {name: set() for name in agents}
         for name, program in agents.items():
             mine = models[name]
-            nxt: set[Atom] = set()
+            own = nxt[name]
             for a in program.internals:
                 if a.name in mine:
-                    nxt.add(Atom(a.name))
+                    own.add(Atom(a.name))
             event_names = program.event_names
             for m in mine:
                 if m.startswith("past_") and m[len("past_") :] in event_names:
-                    nxt.add(Atom.past(m[len("past_") :]))
-            for producer, pprog in agents.items():
-                if producer == name:
-                    continue
-                for act in pprog.actions:
-                    if act.name not in models[producer]:
-                        continue
-                    target = broadcast.target(producer, act.name, name)
-                    if target is not None:
-                        nxt.add(Atom(target))
-            next_units[name] = frozenset(nxt)
+                    own.add(Atom.past(m[len("past_") :]))
+            for act in program.actions:
+                if act.name in mine:
+                    for consumer, atom in broadcast.route(name, act.name):
+                        nxt[consumer].add(atom)
+        routed.append(len(broadcast.routes))
+        next_units = {name: frozenset(atoms) for name, atoms in nxt.items()}
 
         if next_units == units:
             reached_fixpoint = True
             break
         units = next_units
 
-    return EvolutionTrace(
-        tuple(rounds), reached_fixpoint, tuple(broadcast.warnings.values())
-    )
+    # The pairs first routed in a round drop consumer-major, as if each
+    # consumer in turn gathered the other agents' derived actions.
+    pairs = list(broadcast.routes)
+    groups = (pairs[i:j] for i, j in zip([0, *routed], routed))
+    return EvolutionTrace(tuple(rounds), reached_fixpoint, broadcast.warnings(groups))
 
 
 __all__ = [

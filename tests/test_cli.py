@@ -277,6 +277,19 @@ class TestSystemConfigIntegers:
         assert code == 2  # no tick runs, so the event stays pending
 
 
+class TestMapEntries:
+    def test_self_targeted_entry_is_exit_3(self, capsys, tmp_path):
+        (tmp_path / "p.dali").write_text(
+            "agent P. @external back. @action ping. back :> ping.\n"
+        )
+        cfg = tmp_path / "sys.system"
+        cfg.write_text("agent p.dali\nmap P.ping -> P.back\n")
+        code, out, err = run_cli(capsys, "run", str(cfg))
+        assert code == 3
+        assert out == ""
+        assert "never receives its own actions" in err
+
+
 class TestEnvBudget:
     @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
     @pytest.mark.parametrize(

@@ -2,7 +2,9 @@ import dataclasses
 
 import pytest
 
-from dali import load_agent_file
+from dali import load_agent_file, model
+from dali.engine import Engine
+from dali.errors import DaliValidationError
 from dali.model import (
     ACTION,
     ORDINARY,
@@ -305,3 +307,50 @@ class TestIndexes:
         assert r.external_names == {"f"}
         assert r.action_names == frozenset()
         assert r.event_names == {"f"}
+
+
+class TestValidateOnce:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        validate = model._validate
+
+        def counted(p):
+            seen.append(p.name)
+            return validate(p)
+
+        monkeypatch.setattr(model, "_validate", counted)
+        return seen
+
+    def test_engine_reuses_the_report(self, calls):
+        p = henry()
+        report = validate_program(p)
+        Engine(p)
+        Engine(p)
+        assert validate_program(p) is report
+        assert calls == ["Henry"]
+
+    def test_invalid_program_still_raises_from_engine(self, calls):
+        bad = AgentProgram("A", (Clause(Atom("e"), (Atom("x"),), REACTIVE),))
+        assert ids(validate_program(bad).errors) == ["undeclared-reactive-head"]
+        for _ in range(2):
+            with pytest.raises(DaliValidationError) as exc:
+                Engine(bad)
+            assert ids(exc.value.report.errors) == ["undeclared-reactive-head"]
+        assert calls == ["A"]
+
+    def test_replace_gets_its_own_report(self, calls):
+        p = henry()
+        assert validate_program(p).ok
+        q = dataclasses.replace(p, internals=())  # 'happy' is no longer an event
+        assert ids(validate_program(q).errors) == ["undeclared-reactive-head"]
+        assert validate_program(p).ok
+        assert calls == ["Henry", "Henry"]
+
+    def test_report_is_not_part_of_equality_hash_or_repr(self):
+        p, q = henry(), henry()
+        validate_program(p)
+        assert p == q
+        assert hash(p) == hash(q)
+        assert repr(p) == repr(q)
+        assert "_report" not in repr(p)

@@ -1,10 +1,12 @@
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dali import runtime
+from dali import model, runtime
 from dali.errors import DaliConfigError, DaliSyntaxError, DaliValidationError
-from dali.model import Atom
+from dali.model import AgentProgram, Atom
 from dali.runtime import (
     ChannelMapping,
     SystemConfig,
@@ -53,6 +55,15 @@ class TestConfigLoading:
         cfg.write_text("agent a.dali\n")
         with pytest.raises(DaliValidationError):
             load_system_config(cfg)
+
+    def test_each_agent_is_validated_once(self, scenario_dir, monkeypatch):
+        calls = []
+        validate = model._validate
+        monkeypatch.setattr(model, "_validate", lambda p: calls.append(p.name) or validate(p))
+        config = load_system_config(scenario_dir / "ping.system")
+        SystemRunner(config).run()
+        evolve_system(config)
+        assert calls == ["Producer", "Consumer"]
 
     def test_map_lines_are_checked(self, tmp_path):
         (tmp_path / "a.dali").write_text("agent A. @action ping. @internal go. go. go :> ping.\n")
@@ -182,18 +193,21 @@ class TestTickLoop:
             runner.inject("Nobody", "ping")
 
 
+DROPPED = re.compile(
+    r"(?:derived )?action '(\w+)' by (\w+) has no external event at (\w+); dropped"
+)
+
+
+def dropped(warnings):
+    """The (producer, action, consumer) triple of each drop warning."""
+    out = []
+    for w in warnings:
+        action, producer, consumer = DROPPED.fullmatch(w).groups()
+        out.append((producer, action, consumer))
+    return out
+
+
 class TestBroadcastRule:
-    DROPPED = re.compile(
-        r"(?:derived )?action '(\w+)' by (\w+) has no external event at (\w+); dropped"
-    )
-
-    def dropped(self, warnings):
-        out = []
-        for w in warnings:
-            action, producer, consumer = self.DROPPED.fullmatch(w).groups()
-            out.append((producer, action, consumer))
-        return out
-
     def test_runner_and_evolution_drop_the_same_triples_once(self, tmp_path):
         (tmp_path / "p.dali").write_text("agent P. @external go. @action ping. go :> ping.\n")
         (tmp_path / "a.dali").write_text("agent A. @external pong. pong :> noted. noted.\n")
@@ -216,8 +230,101 @@ class TestBroadcastRule:
         trace = evolve_system(config, {"P": [Atom("go")]})
         assert "ping" in trace.rounds[0].models["P"]
         assert any(Atom("pong") in rnd.units["A"] for rnd in trace.rounds)
-        assert self.dropped(result.warnings) == [("P", "ping", "B")]
-        assert self.dropped(trace.warnings) == [("P", "ping", "B")]
+        assert dropped(result.warnings) == [("P", "ping", "B")]
+        assert dropped(trace.warnings) == [("P", "ping", "B")]
+
+    def test_first_drop_order_of_two_producers(self, tmp_path):
+        # The tick loop drops in the order actions are performed, each at
+        # the consumers in agent order; evolution drops round by round,
+        # consumer-major within a round.
+        (tmp_path / "p.dali").write_text("agent P. @external go. @action ping. go :> ping.\n")
+        (tmp_path / "q.dali").write_text("agent Q. @external go. @action bell. go :> bell.\n")
+        (tmp_path / "x.dali").write_text(
+            "agent X. @external pong. @action shout. pong :> shout.\n"
+        )
+        (tmp_path / "y.dali").write_text("agent Y. @external knock. knock :> noted. noted.\n")
+        (tmp_path / "s.events").write_text("0 P go\n0 Q go\n")
+        cfg = tmp_path / "sys.system"
+        cfg.write_text(
+            "agent p.dali\nagent q.dali\nagent x.dali\nagent y.dali\n"
+            "script s.events\nmap Q.bell -> X.pong\n"
+        )
+        config = load_system_config(cfg)
+        result = SystemRunner(config).run()
+        trace = evolve_system(config, {"P": [Atom("go")], "Q": [Atom("go")]})
+        assert result.quiescent and trace.reached_fixpoint
+        assert dropped(result.warnings) == [
+            ("P", "ping", "Q"),
+            ("P", "ping", "X"),
+            ("P", "ping", "Y"),
+            ("Q", "bell", "P"),
+            ("Q", "bell", "Y"),
+            ("X", "shout", "P"),
+            ("X", "shout", "Q"),
+            ("X", "shout", "Y"),
+        ]
+        assert dropped(trace.warnings) == [
+            ("Q", "bell", "P"),
+            ("P", "ping", "Q"),
+            ("P", "ping", "X"),
+            ("P", "ping", "Y"),
+            ("Q", "bell", "Y"),
+            ("X", "shout", "P"),
+            ("X", "shout", "Q"),
+            ("X", "shout", "Y"),
+        ]
+        assert all(w.startswith("derived action ") for w in trace.warnings)
+
+
+POOL = ("ping", "pong", "bell", "knock", "ring")
+
+
+@st.composite
+def routed_systems(draw):
+    """2-5 agents, listed out of name order, drawing externals and
+    actions from one name pool, and map entries that
+    `SystemConfig.validate` accepts.  An agent may declare one of its
+    actions as external too: routing must still never feed it back."""
+    agents = {}
+    for i in draw(st.permutations(range(draw(st.integers(2, 5))))):
+        name = f"A{i}"
+        agents[name] = AgentProgram(
+            name,
+            externals=tuple(map(Atom, draw(st.lists(st.sampled_from(POOL), max_size=3)))),
+            actions=tuple(map(Atom, draw(st.lists(st.sampled_from(POOL), max_size=3)))),
+        )
+    valid = [
+        (p, a.name, c, e.name)
+        for p, prog in agents.items()
+        for a in prog.actions
+        for c, cprog in agents.items()
+        if c != p
+        for e in cprog.externals
+    ]
+    entries = draw(st.lists(st.sampled_from(valid), max_size=6)) if valid else []
+    config = SystemConfig(agents, mapping=ChannelMapping(tuple(entries)))
+    config.validate()
+    return config
+
+
+@settings(max_examples=150, deadline=None)
+@given(routed_systems())
+def test_routes_match_the_brute_force_rule(config):
+    broadcast = runtime._Broadcast(config, "action")
+    agents = config.agents
+    for p, prog in agents.items():
+        for a in prog.actions:
+            received, expected_drops = [], []
+            for c, cprog in agents.items():
+                if c == p:
+                    continue
+                event = config.mapping.resolve(p, a.name, c)
+                if event in cprog.external_names:
+                    received.append((c, Atom(event)))
+                else:
+                    expected_drops.append((p, a.name, c))
+            assert broadcast.route(p, a.name) == tuple(received)
+            assert dropped(broadcast.warnings([[(p, a.name)]])) == expected_drops
 
 
 class TestEvolution:
