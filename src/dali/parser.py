@@ -11,6 +11,16 @@ Agent file grammar (one agent per file, `%` comments to end of line):
 
 `:-` introduces an ordinary rule, `:>` a reactive rule, `:<` an action
 rule.  `past(p)` and `now(p)` are the event markers allowed in bodies.
+IDENT is `[A-Za-z_]\\w*`, an ASCII letter or `_` then word characters:
+the rule `is_identifier` applies to every other name.  Blanks are
+space, tab, `\\r` and newline.  Outside a comment, a character that
+starts no token (`é`, `9`, a lone `:`) is a syntax error at its line
+and column.
+
+The whole file is scanned into tokens by one regular expression before
+parsing starts, so an unexpected character anywhere is reported ahead
+of a grammar error.  Tokens are plain strings; the line and column of a
+diagnostic are worked out from the token's offset, and only then.
 
 Event scripts are line oriented, `#` comments:
 
@@ -21,14 +31,20 @@ with nonnegative, nondecreasing ticks.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import islice
 from operator import attrgetter
+from string import ascii_letters
+from typing import NoReturn
 
 from .errors import DaliError, DaliSyntaxError, SourceSpan
 from .model import (
     ACTION,
     ORDINARY,
+    PAST,
+    PRESENT,
     REACTIVE,
     AgentProgram,
     Atom,
@@ -36,103 +52,21 @@ from .model import (
     is_identifier,
 )
 
-_PUNCT = {
-    ":-": "ARROW_ORD",
-    ":>": "ARROW_REACT",
-    ":<": "ARROW_ACT",
-    ".": "DOT",
-    ",": "COMMA",
-    "(": "LPAREN",
-    ")": "RPAREN",
-    "@": "AT",
-}
-
-_DIRECTIVES = {"external", "internal", "action"}
+# Skips blanks and comments, then takes one token: an identifier, a
+# two-character arrow, any other single character, or "" at the end.
+_TOKEN = re.compile(r"(?:[ \t\r\n]+|%[^\n]*)*([A-Za-z_]\w*|:[-><]|.|\Z)", re.DOTALL)
+# Tokens that are not names; "" is the end of the file.
+_PUNCT = frozenset((":-", ":>", ":<", ".", ",", "(", ")", "@", ""))
+_ARROWS = {":-": ORDINARY, ":>": REACTIVE, ":<": ACTION}
+_MARKERS = {"past": PAST, "now": PRESENT}
+_IDENT_START = frozenset(ascii_letters + "_")
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    kind: str  # IDENT or a _PUNCT value or EOF
-    value: str
-    span: SourceSpan
-
-
-def _tokenize(text: str, filename: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if ch in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        span = SourceSpan(filename, line, col)
-        two = text[i : i + 2]
-        if two in _PUNCT:
-            tokens.append(Token(_PUNCT[two], two, span))
-            i, col = i + 2, col + 2
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(_PUNCT[ch], ch, span))
-            i, col = i + 1, col + 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("IDENT", text[i:j], span))
-            col += j - i
-            i = j
-            continue
-        raise DaliSyntaxError(f"unexpected character {ch!r}", span)
-    tokens.append(Token("EOF", "", SourceSpan(filename, line, col)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.cur
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> Token:
-        if self.cur.kind != kind:
-            raise DaliSyntaxError(
-                f"expected {what}, found {self.cur.value or 'end of file'!r}",
-                self.cur.span,
-            )
-        return self.advance()
-
-    def body_atom(self) -> Atom:
-        tok = self.expect("IDENT", "an atom")
-        if tok.value in ("past", "now") and self.cur.kind == "LPAREN":
-            self.advance()
-            inner = self.expect("IDENT", "an identifier inside the marker")
-            self.expect("RPAREN", "')'")
-            return Atom(inner.value, "past" if tok.value == "past" else "present")
-        return Atom(tok.value)
-
-    def body(self) -> tuple[Atom, ...]:
-        atoms = [self.body_atom()]
-        while self.cur.kind == "COMMA":
-            self.advance()
-            atoms.append(self.body_atom())
-        return tuple(atoms)
+def _span(text: str, filename: str, index: int) -> SourceSpan:
+    """The position of token `index`, found by scanning again."""
+    offset = next(islice(_TOKEN.finditer(text), index, None)).start(1)
+    line_start = text.rfind("\n", 0, offset) + 1
+    return SourceSpan(filename, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
 def parse_agent_file(text: str, filename: str = "<string>") -> AgentProgram:
@@ -142,60 +76,110 @@ def parse_agent_file(text: str, filename: str = "<string>") -> AgentProgram:
     DaliSyntaxError with a 1-based source position on malformed input;
     structural restrictions are left to `validate_program`.
     """
-    p = _Parser(_tokenize(text, filename))
+    toks = _TOKEN.findall(text)
 
-    header = p.expect("IDENT", "'agent'")
-    if header.value != "agent":
-        raise DaliSyntaxError("agent file must start with 'agent Name.'", header.span)
-    name = p.expect("IDENT", "an agent name").value
-    p.expect("DOT", "'.' after the agent name")
+    def fail(index: int, message: str) -> NoReturn:
+        raise DaliSyntaxError(message, _span(text, filename, index))
 
-    externals: list[Atom] = []
-    internals: list[Atom] = []
-    actions: list[Atom] = []
-    roles = {"external": externals, "internal": internals, "action": actions}
+    def expected(index: int, what: str) -> NoReturn:
+        fail(index, f"expected {what}, found {toks[index] or 'end of file'!r}")
 
-    while p.cur.kind == "AT":
-        at = p.advance()
-        kind = p.expect("IDENT", "a directive name")
-        if kind.value not in _DIRECTIVES:
-            raise DaliSyntaxError(
-                f"unknown directive '@{kind.value}' "
+    # One unmarked Atom per distinct identifier, in order of first
+    # appearance; a token that is neither punctuation nor an identifier
+    # is a character the grammar does not have.
+    plain = dict.fromkeys(toks)
+    for tok in plain:
+        if tok not in _PUNCT:
+            if tok[0] not in _IDENT_START:
+                fail(toks.index(tok), f"unexpected character {tok!r}")
+            plain[tok] = Atom(tok)
+    marked: dict[tuple[str, str], Atom] = {}
+
+    # Every token but the last is followed by another, so once toks[i]
+    # is known not to be "" (end of file), toks[i + 1] exists.
+    if plain[toks[0]] is None:
+        expected(0, "'agent'")
+    if toks[0] != "agent":
+        fail(0, "agent file must start with 'agent Name.'")
+    name = toks[1]
+    if plain[name] is None:
+        expected(1, "an agent name")
+    if toks[2] != ".":
+        expected(2, "'.' after the agent name")
+    i = 3
+
+    roles: dict[str, list[Atom]] = {"external": [], "internal": [], "action": []}
+    while toks[i] == "@":
+        kind = toks[i + 1]
+        if plain[kind] is None:
+            expected(i + 1, "a directive name")
+        if kind not in roles:
+            fail(
+                i,
+                f"unknown directive '@{kind}' "
                 f"(expected @external, @internal or @action)",
-                at.span,
             )
-        atom = p.expect("IDENT", "an atom name")
-        p.expect("DOT", "'.' after the directive")
-        roles[kind.value].append(Atom(atom.value))
+        atom = plain[toks[i + 2]]
+        if atom is None:
+            expected(i + 2, "an atom name")
+        if toks[i + 3] != ".":
+            expected(i + 3, "'.' after the directive")
+        roles[kind].append(atom)
+        i += 4
 
     clauses: list[Clause] = []
-    while p.cur.kind != "EOF":
-        if p.cur.kind == "AT":
-            raise DaliSyntaxError(
-                "directives must come before the first clause", p.cur.span
-            )
-        head = p.expect("IDENT", "a clause head")
-        if p.cur.kind == "DOT":
-            p.advance()
-            clauses.append(Clause(Atom(head.value)))
+    while (tok := toks[i]) != "":
+        head = plain[tok]
+        if head is None:
+            if tok == "@":
+                fail(i, "directives must come before the first clause")
+            expected(i, "a clause head")
+        tok = toks[i + 1]
+        if tok == ".":
+            clauses.append(Clause(head))
+            i += 2
             continue
-        kind_map = {
-            "ARROW_ORD": ORDINARY,
-            "ARROW_REACT": REACTIVE,
-            "ARROW_ACT": ACTION,
-        }
-        if p.cur.kind not in kind_map:
-            raise DaliSyntaxError(
+        kind = _ARROWS.get(tok)
+        if kind is None:
+            fail(
+                i + 1,
                 f"expected '.', ':-', ':>' or ':<' after clause head, "
-                f"found {p.cur.value!r}",
-                p.cur.span,
+                f"found {tok!r}",
             )
-        kind = kind_map[p.advance().kind]
-        body = p.body()
-        p.expect("DOT", "'.' at the end of the clause")
-        clauses.append(Clause(Atom(head.value), body, kind))
+        body: list[Atom] = []
+        while True:
+            i += 2  # past the arrow or comma, to the next body atom
+            tok = toks[i]
+            atom = plain[tok]
+            if atom is None:
+                expected(i, "an atom")
+            if tok in _MARKERS and toks[i + 1] == "(":
+                inner = toks[i + 2]
+                if plain[inner] is None:
+                    expected(i + 2, "an identifier inside the marker")
+                if toks[i + 3] != ")":
+                    expected(i + 3, "')'")
+                key = (inner, _MARKERS[tok])
+                atom = marked.get(key)
+                if atom is None:
+                    atom = marked[key] = Atom(*key)
+                i += 3
+            body.append(atom)
+            if toks[i + 1] != ",":
+                break
+        i += 1
+        if toks[i] != ".":
+            expected(i, "'.' at the end of the clause")
+        clauses.append(Clause(head, tuple(body), kind))
+        i += 1
 
-    return AgentProgram(name, tuple(clauses), tuple(externals), tuple(internals), tuple(actions))
+    return AgentProgram(
+        name,
+        tuple(clauses),
+        tuple(roles["external"]),
+        tuple(roles["internal"]),
+        tuple(roles["action"]),
+    )
 
 
 def pretty(program: AgentProgram) -> str:
@@ -354,7 +338,6 @@ __all__ = [
     "EventScript",
     "ScriptEntry",
     "SourceSpan",
-    "Token",
     "load_agent_file",
     "load_event_script",
     "parse_agent_file",

@@ -1,16 +1,59 @@
+"""The `dali` command line.
+
+`TestPinnedOutputs` compares `dali transform` and `dali model` on every
+`scenarios/*.dali` with the output stored under `tests/data/cli/`.
+Regenerate those files (only when a change of behaviour is intended):
+
+    PYTHONPATH=src python tests/test_cli.py
+"""
+
 import io
 import json
+import os
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from dali.cli import main
 from dali.engine import TRACE_FIELDS
 
+ROOT = Path(__file__).resolve().parents[1]
+CLI_DATA = Path(__file__).resolve().parent / "data" / "cli"
+PINNED = [
+    (path.stem, command)
+    for path in sorted((ROOT / "scenarios").glob("*.dali"))
+    for command in ("transform", "model")
+]
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def pinned_run(name: str, command: str) -> tuple[int, str, str]:
+    """`dali COMMAND scenarios/NAME.dali` run from the repository root."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, f"scenarios/{name}.dali"])
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("name,command", PINNED, ids=[f"{c}-{n}" for n, c in PINNED])
+    def test_matches_the_stored_output(self, name, command):
+        stem = CLI_DATA / f"{name}.{command}"
+        err_file = stem.with_name(stem.name + ".err")
+        err = err_file.read_text(encoding="utf-8") if err_file.exists() else ""
+        out = stem.with_name(stem.name + ".out").read_text(encoding="utf-8")
+        assert pinned_run(name, command) == (0, out, err)
 
 
 class TestModel:
@@ -148,6 +191,27 @@ class TestBadAtom:
             err = out.splitlines()[1].removeprefix("dali> ")
         assert f"bad atom {text!r}: expected x, past(x) or now(x)" in err
         assert "init list" not in err
+
+
+class TestBadIdentifier:
+    @pytest.mark.parametrize(
+        "text,where",
+        [
+            ("agent \u00c9.\n", "1:7"),
+            ("agent A.\n@external \u00e9v.\n", "2:11"),
+            ("agent A.\n\u00e9v.\n", "2:1"),
+            ("agent A.\np :- \u00e9v.\n", "2:6"),
+            ("agent A.\np :- now(\u00e9v).\n", "2:10"),
+        ],
+        ids=["agent name", "directive", "clause head", "body atom", "marker argument"],
+    )
+    def test_exit_3_at_the_character(self, capsys, tmp_path, text, where):
+        bad = tmp_path / "bad.dali"
+        bad.write_text(text, encoding="utf-8")
+        char = next(c for c in text if not c.isascii())
+        code, out, err = run_cli(capsys, "model", str(bad))
+        assert (code, out) == (3, "")
+        assert err == f"{bad}:{where}: unexpected character {char!r}\n"
 
 
 class TestUnreadableInput:
@@ -409,3 +473,17 @@ class TestHiddenOracle:
         assert "actions=[call_police] pv=[danger]" in out
         assert "actions=[scream] pv=[danger]" in out
         assert "truncated=False" in err
+
+
+def write_pinned() -> None:
+    CLI_DATA.mkdir(parents=True, exist_ok=True)
+    for name, command in PINNED:
+        code, out, err = pinned_run(name, command)
+        assert code == 0, (name, command, err)
+        (CLI_DATA / f"{name}.{command}.out").write_text(out, encoding="utf-8")
+        if err:
+            (CLI_DATA / f"{name}.{command}.err").write_text(err, encoding="utf-8")
+
+
+if __name__ == "__main__":
+    write_pinned()

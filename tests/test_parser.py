@@ -3,7 +3,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dali.errors import DaliSyntaxError
-from dali.model import ACTION, ORDINARY, REACTIVE, AgentProgram, Atom, Clause
+from dali.model import (
+    ACTION,
+    ORDINARY,
+    REACTIVE,
+    AgentProgram,
+    Atom,
+    Clause,
+    is_identifier,
+)
 from dali.parser import (
     EventScript,
     parse_agent_file,
@@ -80,6 +88,59 @@ class TestAgentFiles:
     def test_directive_after_clause_rejected(self):
         with pytest.raises(DaliSyntaxError):
             parse_agent_file("agent A. p. @external e.")
+
+
+class TestIdentifiers:
+    @pytest.mark.parametrize(
+        "text,where",
+        [
+            ("agent \u00c9mile.\n", "1:7"),
+            ("agent A.\n@external \u00e9v.\n", "2:11"),
+            ("agent A.\n\u00e9v.\n", "2:1"),
+            ("agent A.\np :- q, \u00e9v.\n", "2:9"),
+            ("agent A.\np :- past(\u00e9v).\n", "2:11"),
+        ],
+        ids=["agent name", "directive", "clause head", "body atom", "marker argument"],
+    )
+    def test_non_ascii_first_letter_is_unexpected_character(self, text, where):
+        char = next(c for c in text if not c.isascii())
+        with pytest.raises(DaliSyntaxError) as exc:
+            parse_agent_file(text, "f.dali")
+        assert str(exc.value) == f"f.dali:{where}: unexpected character {char!r}"
+
+    def test_bad_character_is_reported_before_a_grammar_error(self):
+        with pytest.raises(DaliSyntaxError) as exc:
+            parse_agent_file("agent A.\np :- ,q.\nr :- $.\n", "f.dali")
+        assert str(exc.value) == "f.dali:3:6: unexpected character '$'"
+
+    @settings(max_examples=200)
+    @given(st.text(alphabet="aZ_09\u00e9\u00c9\u00b2\u00fc", min_size=1, max_size=6))
+    def test_a_name_parses_exactly_when_is_identifier_accepts_it(self, name):
+        text = f"agent A.\n{name}.\n"
+        if is_identifier(name):
+            assert parse_agent_file(text).clauses == (Clause(Atom(name)),)
+        else:
+            with pytest.raises(DaliSyntaxError, match="^f.dali:2:"):
+                parse_agent_file(text, "f.dali")
+
+
+class TestEndOfFile:
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (
+                "agent A.\np :- q   % trailing comment",
+                "f.dali:2:28: expected '.' at the end of the clause, found 'end of file'",
+            ),
+            ("agent A.\np :- q,", "f.dali:2:8: expected an atom, found 'end of file'"),
+            ("agent A.\np :- q,\n", "f.dali:3:1: expected an atom, found 'end of file'"),
+            ("agent A.\np :- q\t\r", "f.dali:2:9: expected '.' at the end of the clause, found 'end of file'"),
+        ],
+    )
+    def test_error_at_end_of_file_is_at_its_true_end(self, text, message):
+        with pytest.raises(DaliSyntaxError) as exc:
+            parse_agent_file(text, "f.dali")
+        assert str(exc.value) == message
 
 
 class TestEventScripts:
