@@ -144,8 +144,10 @@ def cmd_model(args) -> int:
 def cmd_oracle(args) -> int:
     from .oracle import exhaustive_interleavings
 
+    if args.max_states < 1:
+        raise DaliError(f"--max-states must be >= 1, got {args.max_states}")
     program = _load_validated(args.agent)
-    events = [a.name for a in parse_init_atoms(args.events)] if args.events else []
+    events = parse_init_atoms(args.events) if args.events else ()
     result = exhaustive_interleavings(
         program,
         inbox=events,

@@ -35,15 +35,25 @@ external event joins.  Periods shape priority only; whenever the
 preferred work is absent, any applicable step fires, so the interpreter
 never idles while work remains.
 
-A step's cost does not depend on the run's history.  Finished components
-leave the round-robin list, running attempts are a live set, and the
-sorted PV names are one tuple, updated only when PV grows and shared by
-every record; so no step rescans what earlier steps created.
+A step's bookkeeping depends on neither the run's history nor the size
+of EV, IV or the goal, apart from copying the one tuple the step changes
+(a goal, or an event-name tuple), which Python does without a loop of
+its own.  Finished components leave the round-robin list and running
+attempts are a live set.  EV and IV are insertion-ordered sets keyed by
+event name, so an arrival, a coalesced duplicate, a join of the oldest
+event and a now(..) test are each one dictionary operation; past(..)
+tests and attempt choices look names up in a set of PV names.  The EV,
+IV and sorted PV name tuples change only when their set does (a join
+slices one name off; a burst of arrivals costs one rebuild), and every
+record in between shares them.  Each component keeps its goal's text
+beside its goal, so a rewrite stringifies only the clause body that
+replaces the selected atom.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -122,6 +132,7 @@ class _Region:
 @dataclass(frozen=True, slots=True)
 class _ChoicePoint:
     atoms: tuple[GoalAtom | _Region, ...]
+    goal: tuple[str, ...]
     candidates: tuple[Clause, ...]
 
 
@@ -131,13 +142,11 @@ class Component:
     origin: str
     origin_atom: Atom | None
     atoms: tuple[GoalAtom | _Region, ...]
+    goal: tuple[str, ...]  # the text of each GoalAtom in atoms, in order
     status: str = ACTIVE
     reaction_pending: bool = False
     choicepoints: list[_ChoicePoint] = field(default_factory=list)
     failure: str | None = None
-
-    def goal_text(self) -> tuple[str, ...]:
-        return tuple(str(g.atom) for g in self.atoms if type(g) is GoalAtom)
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,22 +162,24 @@ class ComponentOutcome:
 class AgentState:
     """Mutable event state of one agent.
 
-    ev and iv are FIFO ordered sets (arrival/derivation order); pv only
-    grows.  performed logs (action, step) pairs; coalesced counts event
-    arrivals merged into an already pending instance.
+    ev and iv are insertion-ordered sets of pending events, each an
+    OrderedDict from event name to its atom: membership is one lookup and
+    the oldest event (arrival/derivation order) is taken in O(1).  pv
+    only grows.  performed logs (action, step) pairs; coalesced counts
+    event arrivals merged into an already pending instance.
     """
 
-    ev: list[Atom] = field(default_factory=list)
-    iv: list[Atom] = field(default_factory=list)
+    ev: OrderedDict[str, Atom] = field(default_factory=OrderedDict)
+    iv: OrderedDict[str, Atom] = field(default_factory=OrderedDict)
     pv: set[Atom] = field(default_factory=set)
     performed: list[tuple[Atom, int]] = field(default_factory=list)
     coalesced: dict[str, int] = field(default_factory=dict)
 
     def ev_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.ev)
+        return tuple(self.ev)
 
     def iv_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.iv)
+        return tuple(self.iv)
 
     def pv_names(self) -> tuple[str, ...]:
         return tuple(sorted(a.name for a in self.pv))
@@ -234,7 +245,13 @@ class Engine:
         self.records: list[StepRecord] = []
         self._active: list[Component] = []  # the ACTIVE components, by index
         self._attempting: set[str] = set()  # events with a running attempt
-        self._pv_names: tuple[str, ...] = ()  # sorted PV names, shared by records
+        # Names shared by records until a step changes the set.  An
+        # arrival sets them to None and the next record rebuilds them, so
+        # a burst of arrivals costs one rebuild; a join drops the first.
+        self._ev_names: tuple[str, ...] | None = ()
+        self._iv_names: tuple[str, ...] | None = ()
+        self._pv_names: tuple[str, ...] = ()  # sorted
+        self._pv_set: set[str] = set()  # the names in PV
         self._pending: list[_Region] = []  # subproofs awaiting a completion record
         self._rr = 0
         self._attempt_cursor = 0
@@ -256,10 +273,13 @@ class Engine:
                 f"agent {self.program.name}"
             )
         self._version += 1
-        if atom in self.state.ev:
-            self.state.coalesced[atom.name] = self.state.coalesced.get(atom.name, 0) + 1
+        ev = self.state.ev
+        name = atom.name
+        if name in ev:
+            self.state.coalesced[name] = self.state.coalesced.get(name, 0) + 1
             return False
-        self.state.ev.append(atom)
+        ev[name] = atom
+        self._ev_names = None
         return True
 
     def add_query(self, atom: Atom | str) -> int:
@@ -304,7 +324,7 @@ class Engine:
             if rec is not None:
                 return rec
         if ev:
-            return self._join(n, ev, EXTERNAL_REACTION, "iv", "ev_removed")
+            return self._join(n, EXTERNAL_REACTION, "iv")
         return None
 
     def run(self, max_steps: int | None = None) -> list[StepRecord]:
@@ -334,15 +354,18 @@ class Engine:
     # -- the six step kinds -------------------------------------------------
 
     def _record(self, n, case, selected, comp: Component, **deltas) -> StepRecord:
-        st = self.state
+        if self._ev_names is None:
+            self._ev_names = tuple(self.state.ev)
+        if self._iv_names is None:
+            self._iv_names = tuple(self.state.iv)
         rec = StepRecord(
             step=n,
             case=case,
             selected=selected,
             component=comp.index,
-            goal=comp.goal_text(),
-            ev=st.ev_names(),
-            iv=st.iv_names(),
+            goal=comp.goal,
+            ev=self._ev_names,
+            iv=self._iv_names,
             pv=self._pv_names,
             **deltas,
         )
@@ -351,7 +374,7 @@ class Engine:
 
     def _internal_phase(self, n) -> StepRecord | None:
         if self.state.iv:
-            return self._join(n, self.state.iv, INTERNAL_REACTION, "v", "iv_removed")
+            return self._join(n, INTERNAL_REACTION, "v")
         pos = self._find_attempt()
         if pos is None:
             return None
@@ -362,23 +385,31 @@ class Engine:
         comp = self._add_component(INTERNAL_ATTEMPT, atom)
         return self._record(n, "vi", atom.name, comp)
 
-    def _join(self, n, queue: list[Atom], origin, case, removed) -> StepRecord:
-        """Join the oldest event of queue (EV or IV) as a new reaction
-        component, moving it to PV; `removed` names the delta field."""
+    def _join(self, n, origin, case) -> StepRecord:
+        """Join the oldest event of EV (an external reaction) or IV as a
+        new reaction component, moving it to PV."""
         st = self.state
-        event = queue.pop(0)
+        if origin == EXTERNAL_REACTION:
+            name, event = st.ev.popitem(last=False)
+            if self._ev_names is not None:
+                self._ev_names = self._ev_names[1:]
+            removed = {"ev_removed": (name,)}
+        else:
+            name, event = st.iv.popitem(last=False)
+            if self._iv_names is not None:
+                self._iv_names = self._iv_names[1:]
+            removed = {"iv_removed": (name,)}
         pv_added = ()
-        if event not in st.pv:
+        if name not in self._pv_set:
             st.pv.add(event)
-            pv_added = (event.name,)
+            self._pv_set.add(name)
+            pv_added = (name,)
             names = list(self._pv_names)
-            insort(names, event.name)
+            insort(names, name)
             self._pv_names = tuple(names)
         self._version += 1
         comp = self._add_component(origin, event, reaction_pending=True)
-        return self._record(
-            n, case, event.name, comp, pv_added=pv_added, **{removed: (event.name,)}
-        )
+        return self._record(n, case, name, comp, pv_added=pv_added, **removed)
 
     def _find_attempt(self) -> int | None:
         """Position in `program.internals` of the next internal event
@@ -390,16 +421,13 @@ class Engine:
         and when nothing changed since its last attempt.
         """
         internals = self.program.internals
-        if not internals:
-            return None
+        iv, pv = self.state.iv, self._pv_set
         for offset in range(len(internals)):
             pos = (self._attempt_cursor + offset) % len(internals)
-            a = internals[pos]
-            if a.name in self._act_names:
+            name = internals[pos].name
+            if name in self._act_names or name in iv or name in pv:
                 continue
-            if a in self.state.iv or a in self.state.pv or a.name in self._attempting:
-                continue
-            if self._last_attempt.get(a.name) == self._version:
+            if name in self._attempting or self._last_attempt.get(name) == self._version:
                 continue
             return pos
         return None
@@ -425,18 +453,19 @@ class Engine:
         """One transition inside a component; on a failed branch, resume
         at the newest choice point.  None means the component just failed
         for good (choice points exhausted)."""
-        st = self.state
         ga = comp.atoms[0]
         atom = ga.atom
         if atom.marker == PRESENT:
-            if atom.base in st.ev:
+            if atom.name in self.state.ev:
+                selected = comp.goal[0]
                 self._replace_leftmost(comp, ())
-                return self._record(n, "iii", str(atom), comp)
+                return self._record(n, "iii", selected, comp)
             reason = f"now({atom.name}) unsatisfied: event not pending"
         elif atom.marker == PAST:
-            if atom.base in st.pv:
+            if atom.name in self._pv_set:
+                selected = comp.goal[0]
                 self._replace_leftmost(comp, ())
-                return self._record(n, "i", str(atom), comp)
+                return self._record(n, "i", selected, comp)
             reason = f"past({atom.name}) unsatisfied: event never reacted to"
         elif comp.reaction_pending:
             comp.reaction_pending = False
@@ -451,7 +480,7 @@ class Engine:
             if candidates:
                 if len(candidates) > 1:
                     comp.choicepoints.append(
-                        _ChoicePoint(comp.atoms, candidates[1:])
+                        _ChoicePoint(comp.atoms, comp.goal, candidates[1:])
                     )
                 return self._resolve(comp, candidates[0], n)
             if atom.name in self._act_names:
@@ -469,15 +498,16 @@ class Engine:
         if cp is None:
             self._finish(comp, FAILED, reason)
             return None
-        comp.atoms = cp.atoms
+        comp.atoms, comp.goal = cp.atoms, cp.goal
         if len(cp.candidates) > 1:
-            comp.choicepoints.append(_ChoicePoint(cp.atoms, cp.candidates[1:]))
+            comp.choicepoints.append(_ChoicePoint(cp.atoms, cp.goal, cp.candidates[1:]))
         return self._resolve(comp, cp.candidates[0], n)
 
     def _resolve(self, comp: Component, clause: Clause, n) -> StepRecord:
         """SLD step: replace the selected atom with the clause body."""
         ga = comp.atoms[0]
         atom = ga.atom
+        selected = comp.goal[0]
         ancestors = ga.ancestors | {atom.name}
         children = tuple(GoalAtom(b, ancestors) for b in clause.body)
         internal = atom.name in self._int_names
@@ -488,14 +518,14 @@ class Engine:
             # Resolving with the reactive rule is the reaction itself, so
             # it must not re-record the event.
             children += (_Region(atom, comp.index, False, True),)
-        self._replace_leftmost(comp, children)
-        return self._record(n, "i", str(atom), comp)
+        self._replace_leftmost(comp, children, tuple(map(str, clause.body)))
+        return self._record(n, "i", selected, comp)
 
-    def _replace_leftmost(self, comp: Component, children) -> None:
-        """Replace the selected atom with children, then pop the markers
-        that reach the front: each ends a nested subproof (innermost
-        first) and is queued for its completion step.  The component
-        succeeds when its goal is empty."""
+    def _replace_leftmost(self, comp: Component, children, text=()) -> None:
+        """Replace the selected atom with children, whose goal atoms read
+        `text`, then pop the markers that reach the front: each ends a
+        nested subproof (innermost first) and is queued for its completion
+        step.  The component succeeds when its goal is empty."""
         atoms = children + comp.atoms[1:]
         while atoms and type(atoms[0]) is _Region:
             if not atoms[0].done:
@@ -503,6 +533,7 @@ class Engine:
                 self._pending.append(atoms[0])
             atoms = atoms[1:]
         comp.atoms = atoms
+        comp.goal = text + comp.goal[1:]
         if not atoms:
             self._finish(comp, SUCCEEDED)
 
@@ -510,7 +541,7 @@ class Engine:
 
     def _add_component(self, origin, atom: Atom, reaction_pending=False) -> Component:
         comp = Component(
-            len(self.components), origin, atom, (GoalAtom(atom),),
+            len(self.components), origin, atom, (GoalAtom(atom),), (str(atom),),
             reaction_pending=reaction_pending,
         )
         self.components.append(comp)
@@ -561,10 +592,13 @@ class Engine:
         # One live instance per conclusion: re-deriving an event that is
         # still pending, or that the agent already reacted to, does not
         # queue another reaction.
-        if atom in self.state.iv or atom in self.state.pv:
+        name = atom.name
+        iv = self.state.iv
+        if name in iv or name in self._pv_set:
             return ()
-        self.state.iv.append(atom)
-        return (atom.name,)
+        iv[name] = atom
+        self._iv_names = None
+        return (name,)
 
 
 @dataclass(frozen=True, slots=True)

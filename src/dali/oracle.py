@@ -12,7 +12,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .model import ACTION, PAST, PRESENT, AgentProgram, Atom
+from .errors import DaliConfigError
+from .model import ACTION, PAST, PLAIN, PRESENT, AgentProgram, Atom
+from .parser import parse_atom_text
 
 
 def naive_fixpoint(clauses) -> frozenset[str]:
@@ -96,6 +98,17 @@ def _canon(state: _State) -> _State:
     )
 
 
+def _inbox_name(program: AgentProgram, event: Atom | str) -> str:
+    atom = parse_atom_text(event) if isinstance(event, str) else event
+    if atom.marker != PLAIN:
+        raise DaliConfigError(f"inbox event {atom} is marked; give the event name")
+    if atom.name not in program.external_names:
+        raise DaliConfigError(
+            f"'{atom.name}' is not a declared external event of agent {program.name}"
+        )
+    return atom.name
+
+
 def exhaustive_interleavings(
     program: AgentProgram,
     inbox=(),
@@ -109,17 +122,17 @@ def exhaustive_interleavings(
     applicable moves, if any, are self-triggered attempts, since a
     strategy may schedule those never; attempt branches are explored as
     well.  Only intended for tiny instances; the search truncates at
-    max_states.
+    max_states.  Text is parsed as `x`, `past(x)` or `now(x)`; an inbox
+    event that is marked or not a declared external event of the agent
+    is a `DaliConfigError`, as in `Engine.inject`.
     """
     internal_names = program.internal_names
     action_names = program.action_names
 
-    ev = frozenset(
-        (Atom(e) if isinstance(e, str) else e.base).name for e in inbox
-    )
+    ev = frozenset(_inbox_name(program, e) for e in inbox)
     comps: tuple = ()
     if query is not None:
-        q = Atom(query) if isinstance(query, str) else query
+        q = parse_atom_text(query) if isinstance(query, str) else query
         comps = ((False, ((q, frozenset(), ()),)),)
     start = _State(comps, (), ev, frozenset(), frozenset(), (), frozenset())
 

@@ -474,6 +474,45 @@ class TestHiddenOracle:
         assert "actions=[scream] pv=[danger]" in out
         assert "truncated=False" in err
 
+    def test_marked_query_is_parsed(self, capsys, scenario_dir):
+        code, out, err = run_cli(
+            capsys, "oracle", str(scenario_dir / "anne.dali"), "--query", "past(go_by_car)"
+        )
+        assert code == 0
+        assert out.splitlines()[0] == "actions=[] pv=[]"
+        assert "truncated=False" in err
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["--query", "go out"], "bad atom 'go out': expected x, past(x) or now(x)"),
+            (["--query", "past(x"], "bad atom 'past(x': expected x, past(x) or now(x)"),
+            (["--events", "zzz"], "'zzz' is not a declared external event of agent Anne"),
+            (["--events", "go_by_car"],
+             "'go_by_car' is not a declared external event of agent Anne"),
+            (["--events", "past(invitation)"],
+             "inbox event past(invitation) is marked; give the event name"),
+            (["--events", "invitation,now(invitation)"],
+             "inbox event now(invitation) is marked; give the event name"),
+            (["--events", "in vitation"], "bad event name"),
+            (["--max-states", "0"], "--max-states must be >= 1, got 0"),
+            (["--max-states", "-3"], "--max-states must be >= 1, got -3"),
+        ],
+    )
+    def test_bad_input_exits_3(self, capsys, scenario_dir, args, message):
+        code, out, err = run_cli(capsys, "oracle", str(scenario_dir / "anne.dali"), *args)
+        assert (code, out) == (3, "")
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_one_state_truncates(self, capsys, scenario_dir):
+        code, _, err = run_cli(
+            capsys, "oracle", str(scenario_dir / "anne.dali"),
+            "--events", "invitation", "--max-states", "1",
+        )
+        assert code == 2
+        assert "explored=1 truncated=True" in err
+
 
 def write_pinned() -> None:
     CLI_DATA.mkdir(parents=True, exist_ok=True)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -254,6 +256,55 @@ class TestEvents:
         engine = Engine(program("agent A."))
         with pytest.raises(DaliConfigError):
             engine.inject("mystery")
+
+
+class TestBacklog:
+    """2,000 external events pending at once: EV stays a FIFO set, and
+    the records between two EV changes share one name tuple."""
+
+    N = 2_000
+
+    def test_fifo_joins_coalescing_and_shared_tuples(self):
+        names = [f"e_{k}" for k in random.Random(3).sample(range(self.N), self.N)]
+        first, last = names[0], names[-1]
+        lines = ["agent Backlog."]
+        lines += [f"@external {e}. @action a_{e}." for e in names]
+        lines += [f"{e} :> a_{e}." for e in names]
+        lines += [f"pending :- now({first}).", f"pending_last :- now({last})."]
+        engine = Engine(program("\n".join(lines)))
+        assert all(engine.inject(e) for e in names)
+        assert engine.inject(names[10]) is False  # pending: coalesced
+        assert engine.state.coalesced == {names[10]: 1}
+        assert engine.state.ev_names() == tuple(names)
+
+        engine.run(max_steps=3)  # join `first` and react to it
+        assert [r.case for r in engine.records] == ["iv", "i", "ii"]
+        assert engine.records[0].selected == first
+        assert engine.records[0].ev == tuple(names[1:])
+        q_first = engine.add_query("pending")
+        q_last = engine.add_query("pending_last")
+        engine.run(max_steps=4)
+        assert engine.components[q_first].status == FAILED
+        assert engine.components[q_first].failure == (
+            f"now({first}) unsatisfied: event not pending"
+        )
+        assert engine.components[q_last].status == SUCCEEDED
+        assert engine.inject(first) is True  # joined already: to the back
+        assert engine.state.ev_names()[-1] == first
+
+        engine.run()
+        assert engine.quiescent
+        joins = [r.selected for r in engine.records if r.case == "iv"]
+        assert joins == names + [first]
+        consumed, pending = len(joins), len(engine.state.ev)
+        assert self.N + 2 == consumed + pending + sum(engine.state.coalesced.values())
+
+        shared = 0
+        for a, b in zip(engine.records, engine.records[1:]):
+            if a.ev == b.ev:
+                assert a.ev is b.ev, f"steps {a.step}-{b.step}: EV tuple rebuilt"
+                shared += 1
+        assert shared >= 2 * self.N
 
 
 class TestPresentAndPast:

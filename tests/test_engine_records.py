@@ -5,9 +5,11 @@ Every single-agent scenario runs through `run_agent` with its `.events`
 inbox where it has one, plus a few queries and a 30-event chain built
 here.  Each run's step records, every field included, and its component
 outcomes must match the JSONL file stored under `tests/data/engine/`.
-After every step of the same runs, the engine's active list, running
-attempts and shared PV tuple must equal what a scan of the whole run
-gives.
+After every step of the same runs, the engine's live state must equal
+what a scan of the whole run gives: the active list, the running
+attempts, the EV, IV and PV name tuples the records share, the set of PV
+names, and the goal text of every component and of every choice point,
+including right after a backtrack.
 
 Regenerate the files (only when a change of behaviour is intended):
 
@@ -22,7 +24,16 @@ from pathlib import Path
 
 import pytest
 
-from dali.engine import ACTIVE, FAILED, INTERNAL_ATTEMPT, SUCCEEDED, Engine, run_agent
+from dali.engine import (
+    ACTIVE,
+    FAILED,
+    INTERNAL_ATTEMPT,
+    SUCCEEDED,
+    Engine,
+    GoalAtom,
+    run_agent,
+)
+from dali.model import PLAIN
 from dali.parser import load_agent_file, load_event_script, parse_agent_file
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -103,32 +114,90 @@ def test_chain_run_is_long_and_busy():
     assert not result.truncated
 
 
+def goal_text(atoms) -> tuple[str, ...]:
+    return tuple(str(g.atom) for g in atoms if type(g) is GoalAtom)
+
+
 def check_live_state(engine: Engine) -> None:
+    st = engine.state
     active = [c for c in engine.components if c.status == ACTIVE]
     assert [c.index for c in engine._active] == [c.index for c in active]
     assert all(a is b for a, b in zip(engine._active, active))
     assert engine._attempting == {
         c.origin_atom.name for c in active if c.origin == INTERNAL_ATTEMPT
     }
-    assert engine._pv_names == engine.state.pv_names()
+    for queue in (st.ev, st.iv):
+        assert all(k == a.name and a.marker == PLAIN for k, a in queue.items())
+    assert engine._ev_names == tuple(a.name for a in st.ev.values())
+    assert engine._iv_names == tuple(a.name for a in st.iv.values())
+    assert engine._pv_set == {a.name for a in st.pv}
+    assert engine._pv_names == tuple(sorted(a.name for a in st.pv))
     if engine.records:
-        assert engine.records[-1].pv is engine._pv_names
+        last = engine.records[-1]
+        assert last.ev is engine._ev_names
+        assert last.iv is engine._iv_names
+        assert last.pv is engine._pv_names
+    for c in engine.components:
+        assert c.goal == goal_text(c.atoms)
+        assert all(cp.goal == goal_text(cp.atoms) for cp in c.choicepoints)
+
+
+@dataclasses.dataclass
+class StepCounts:
+    steps: int = 0
+    backtracks: int = 0
+
+
+def check_every_step(monkeypatch) -> StepCounts:
+    """From now on, check the live state after every engine step and
+    count the steps and those of them that backtracked."""
+    step = Engine.step
+    counts = StepCounts()
+
+    def checked_step(self):
+        before = [(c, set(map(id, c.choicepoints))) for c in self._active]
+        rec = step(self)
+        check_live_state(self)
+        counts.steps += 1
+        # A choice point leaves a component only when it backtracks.
+        counts.backtracks += any(cps - set(map(id, c.choicepoints)) for c, cps in before)
+        return rec
+
+    monkeypatch.setattr(Engine, "step", checked_step)
+    return counts
 
 
 @pytest.mark.parametrize("name,program,query,inbox", RUNS, ids=[r[0] for r in RUNS])
 def test_live_state_matches_recomputation(monkeypatch, name, program, query, inbox):
-    step = Engine.step
-    checked = []
-
-    def checked_step(self):
-        rec = step(self)
-        check_live_state(self)
-        checked.append(rec)
-        return rec
-
-    monkeypatch.setattr(Engine, "step", checked_step)
+    counts = check_every_step(monkeypatch)
     result = run_agent(program, query=query, inbox=inbox)
-    assert len(checked) >= len(result.records)
+    assert counts.steps >= len(result.records)
+
+
+def test_live_state_holds_across_backtracks(monkeypatch):
+    counts = check_every_step(monkeypatch)
+    engine = Engine(parse_agent_file(
+        "agent B. @external e. @action x.\n"
+        "p :- a, now(e), missing. p :- a, past(e), x, q. p :- b.\n"
+        "a. b. q :- c. q :- b.\n"
+    ))
+    engine.inject("e")
+    engine.run()
+    q = engine.add_query("p")
+    engine.run()
+    assert engine.components[q].status == SUCCEEDED
+    assert counts.backtracks == 2
+    assert [(r.selected, r.goal) for r in engine.records if r.component == q] == [
+        ("p", ("a", "now(e)", "missing")),
+        ("a", ("now(e)", "missing")),
+        ("p", ("a", "past(e)", "x", "q")),  # now(e) failed: the second clause
+        ("a", ("past(e)", "x", "q")),
+        ("past(e)", ("x", "q")),
+        ("x", ("q",)),
+        ("q", ("c",)),
+        ("q", ("b",)),  # no clause for c: q's second clause
+        ("b", ()),
+    ]
 
 
 def test_round_robin_skips_a_failed_middle_component():

@@ -1,9 +1,12 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dali.engine import run_agent
+from dali.errors import DaliConfigError, DaliSyntaxError
+from dali.model import Atom
 from dali.oracle import exhaustive_interleavings, naive_fixpoint
 from dali.parser import parse_agent_file
 from dali.semantics import least_model
@@ -86,6 +89,33 @@ class TestExhaustiveInterleavings:
         )
         assert r.truncated
         assert r.explored <= 5
+
+    def test_query_text_is_parsed(self, scenario):
+        george = scenario("george")
+        r = exhaustive_interleavings(
+            george, inbox=["girlfriend_call"], query="past(girlfriend_call)"
+        )
+        assert not r.truncated
+        as_atom = exhaustive_interleavings(
+            george, inbox=["girlfriend_call"], query=Atom.past("girlfriend_call")
+        )
+        assert r == as_atom
+        with pytest.raises(DaliSyntaxError):
+            exhaustive_interleavings(george, query="go out")
+
+    @pytest.mark.parametrize(
+        "event",
+        ["zzz", "happy", "past(girlfriend_call)", Atom.now("girlfriend_call"), Atom("zzz")],
+    )
+    def test_inbox_takes_only_declared_external_events(self, scenario, event):
+        with pytest.raises(DaliConfigError):
+            exhaustive_interleavings(scenario("george"), inbox=["girlfriend_call", event])
+
+    def test_inbox_event_as_text_or_atom(self, scenario):
+        george = scenario("george")
+        assert exhaustive_interleavings(george, inbox=["girlfriend_call"]) == (
+            exhaustive_interleavings(george, inbox=[Atom("girlfriend_call")])
+        )
 
 
 class TestDefaultStrategyMembership:
