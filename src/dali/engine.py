@@ -61,6 +61,7 @@ from .errors import DaliConfigError, DaliValidationError
 from .model import (
     ACTION,
     PAST,
+    PLAIN,
     PRESENT,
     REACTIVE,
     AgentProgram,
@@ -264,9 +265,11 @@ class Engine:
     # -- inputs ----------------------------------------------------------
 
     def inject(self, event: Atom | str) -> bool:
-        """Deliver an external event.  Returns False if it was coalesced
-        into an instance already pending."""
-        atom = parse_atom_text(event).base if isinstance(event, str) else event.base
+        """Deliver an external event, given unmarked.  Returns False if it
+        was coalesced into an instance already pending."""
+        atom = parse_atom_text(event) if isinstance(event, str) else event
+        if atom.marker != PLAIN:
+            raise DaliConfigError(f"inbox event {atom} is marked; give the event name")
         if atom.name not in self._ext_names:
             raise DaliConfigError(
                 f"'{atom.name}' is not a declared external event of "
@@ -628,7 +631,7 @@ def run_agent(
     if query is not None:
         query_index = engine.add_query(query)
     pending = sorted(
-        (ScriptEntry(int(t), "", Atom(e) if isinstance(e, str) else e)
+        (ScriptEntry(int(t), "", parse_atom_text(e) if isinstance(e, str) else e)
          for t, e in inbox),
         key=lambda entry: entry.tick,
     )

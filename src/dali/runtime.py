@@ -12,10 +12,10 @@ visits only the consumers that receive it.  `load_system_config`
 validates each agent program, and `Engine` reuses the report kept on it.
 
 The same broadcast rule drives `evolve_system`, which iterates snapshot
-models instead of the interpreter: each round rebuilds every agent's
-transformed program from the previous round's derived events (actions
-travel to the other agents, internal and past events stay home) until
-the unit clauses stop changing.
+models instead of the interpreter.  It compiles each agent's P' rules
+once; each round feeds them the unit clauses of the previous round's
+derived events (actions travel to the other agents, internal and past
+events stay home) until the unit clauses stop changing.
 
 System config files are plain text, one directive per line, paths
 relative to the config file (`#` comments):
@@ -36,9 +36,17 @@ from typing import Iterable
 
 from .engine import Engine, StepRecord
 from .errors import DaliConfigError, DaliSyntaxError, DaliValidationError, SourceSpan
-from .model import PRESENT, AgentProgram, Atom, validate_program
+from .model import AgentProgram, Atom, validate_program
 from .parser import EventScript, load_agent_file, load_event_script, read_source
-from .semantics import InitialSituation, least_model, transform_program
+# `evolve_system` compiles each agent's rules once and so never calls
+# `least_model`; the name stays here because bench/tracing.py wraps it.
+from .semantics import (  # noqa: F401
+    HornRules,
+    InitialSituation,
+    least_model,
+    transform_program,
+    unit_names,
+)
 
 # `evolve_system` stops after this many rounds if no fixpoint is reached.
 MAX_EVOLUTION_ROUNDS = 32
@@ -219,19 +227,23 @@ class _Broadcast:
 
     def warnings(self, groups: Iterable[Iterable[tuple[str, str]]]) -> tuple[str, ...]:
         """One warning per dropped delivery of the routed (producer,
-        action) pairs, group by group; within a group, consumer-major."""
+        action) pairs, group by group; within a group, consumer-major.
+        Each warning joins its pair's prefix to its consumer's tail."""
+        tails = {c: f"{c}; dropped" for c in self.agents}
         out: list[str] = []
+        append = out.append
         for pairs in groups:
             drops = [
-                (p, a, {c for c, _ in self.routes[p, a]} | {p}) for p, a in pairs
+                (
+                    f"{self.kind} '{a}' by {p} has no external event at ",
+                    {c for c, _ in self.routes[p, a]} | {p},
+                )
+                for p, a in pairs
             ]
-            for c in self.agents:
-                for p, a, skip in drops:
+            for c, tail in tails.items():
+                for prefix, skip in drops:
                     if c not in skip:
-                        out.append(
-                            f"{self.kind} '{a}' by {p} has no external "
-                            f"event at {c}; dropped"
-                        )
+                        append(prefix + tail)
         return tuple(out)
 
 
@@ -363,30 +375,33 @@ class EvolutionTrace:
     warnings: tuple[str, ...] = ()
 
 
-def _sorted_units(units: frozenset[Atom]) -> tuple[Atom, ...]:
-    return tuple(sorted(units, key=lambda a: (a.marker, a.name)))
-
-
 def evolve_system(
     config: SystemConfig,
     init: dict[str, Iterable[Atom]] | None = None,
 ) -> EvolutionTrace:
     """Iterate per-agent snapshot models until the derived events settle.
 
-    Each round: rebuild every transformed program from the current unit
-    clauses, take least models, then extract events for the next round:
-    an agent's derived actions become external-event units of every other
-    agent (via the channel mapping), its internal events and past events
-    become its own units.  Past units accumulate; external units are
-    replaced each round.
+    Each agent's P' rules are compiled once; each round takes every
+    agent's least model of those rules plus the current unit clauses,
+    then extracts events for the next round: an agent's derived actions
+    become external-event units of every other agent (via the channel
+    mapping), its internal events and past events become its own units.
+    Past units accumulate; external units are replaced each round.  Only
+    `init` is validated: the units derived from it are declared events
+    by construction.
     """
     init = init or {}
     agents = config.agents
     units: dict[str, frozenset[Atom]] = {
-        name: frozenset(
-            a.base if a.marker == PRESENT else a for a in init.get(name, ())
-        )
-        for name in agents
+        name: frozenset(InitialSituation(init.get(name, ())).validated(program).events)
+        for name, program in agents.items()
+    }
+    rules = {name: HornRules(transform_program(program)) for name, program in agents.items()}
+    # The model atoms that become an agent's own units next round.
+    own_units = {
+        name: tuple((a.name, Atom(a.name)) for a in program.internals)
+        + tuple((f"past_{e}", Atom.past(e)) for e in program.event_names)
+        for name, program in agents.items()
     }
     rounds: list[EvolutionRound] = []
     broadcast = _Broadcast(config, "derived action")
@@ -394,23 +409,19 @@ def evolve_system(
     reached_fixpoint = False
 
     for _ in range(MAX_EVOLUTION_ROUNDS):
-        models: dict[str, frozenset[str]] = {}
-        for name, program in agents.items():
-            tp = transform_program(program, InitialSituation(_sorted_units(units[name])))
-            models[name] = least_model(tp)
+        models = {
+            name: rules[name].closure(unit_names(units[name], program.external_names))
+            for name, program in agents.items()
+        }
         rounds.append(EvolutionRound(dict(units), models))
 
         nxt: dict[str, set[Atom]] = {name: set() for name in agents}
         for name, program in agents.items():
             mine = models[name]
             own = nxt[name]
-            for a in program.internals:
-                if a.name in mine:
-                    own.add(Atom(a.name))
-            event_names = program.event_names
-            for m in mine:
-                if m.startswith("past_") and m[len("past_") :] in event_names:
-                    own.add(Atom.past(m[len("past_") :]))
+            for key, atom in own_units[name]:
+                if key in mine:
+                    own.add(atom)
             for act in program.actions:
                 if act.name in mine:
                     for consumer, atom in broadcast.route(name, act.name):

@@ -22,14 +22,17 @@ extended alphabet {base atoms} + {past_E} + {now_E}:
     for externals, `E.` for internals, `past_E.` for past events).
 
 The least Herbrand model of P' is the "snapshot" of the agent's behavior
-for that initial situation.
+for that initial situation.  Only the unit clauses depend on it, so a
+caller that needs many snapshots of one agent (`evolve_system`) compiles
+the rule part once into `HornRules` and feeds each situation's
+`unit_names` to it as seeds.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DaliConfigError
 from .model import ACTION, PAST, PRESENT, REACTIVE, AgentProgram, Atom
@@ -152,58 +155,79 @@ def transform_program(
                 derived = _dedupe_names((head,) + non_actions + preconditions.get(a, ()))
                 out.append(TransformedClause(a, derived, RULE_ACTION, idx))
 
-    # Unit clauses for the initial situation.
-    ext = p.external_names
-    for a in init.events:
-        if a.marker == PAST:
-            out.append(TransformedClause(f"past_{a.name}", (), RULE_INIT))
-        else:
-            out.append(TransformedClause(a.name, (), RULE_INIT))
-            if a.name in ext:
-                out.append(TransformedClause(f"now_{a.name}", (), RULE_INIT))
-
+    for name in unit_names(init.events, p.external_names):
+        out.append(TransformedClause(name, (), RULE_INIT))
     return TransformedProgram(p.name, tuple(out))
+
+
+def unit_names(events: Iterable[Atom], externals: frozenset[str]) -> Iterator[str]:
+    """Heads of the unit clauses of P' for events true at the start, in
+    order: `past_E` for `past(E)`; `E`, then `now_E` if E is external."""
+    for a in events:
+        if a.marker == PAST:
+            yield f"past_{a.name}"
+        else:
+            yield a.name
+            if a.name in externals:
+                yield f"now_{a.name}"
 
 
 HornClauses = Iterable[tuple[str, Sequence[str]]]
 
 
+class HornRules:
+    """A plain propositional Horn program compiled for counting
+    (Dowling & Gallier, 1984): the clauses, the number of distinct body
+    atoms of each, the clauses that watch each atom, and the heads of
+    bodyless clauses.  Compiled once, it gives the least model of itself
+    plus any set of seed facts, in time linear in the program and seeds."""
+
+    __slots__ = ("_clauses", "_counts", "_watchers", "_facts")
+
+    def __init__(self, clauses: TransformedProgram | HornClauses):
+        if isinstance(clauses, TransformedProgram):
+            clauses = clauses.pairs()
+        else:
+            clauses = tuple(clauses)
+        counts: list[int] = []
+        watchers: dict[str, list[int]] = defaultdict(list)
+        facts: list[str] = []
+        for i, (head, body) in enumerate(clauses):
+            unsat = set(body)
+            counts.append(len(unsat))
+            if not unsat:
+                facts.append(head)
+            for b in unsat:
+                watchers[b].append(i)
+        self._clauses = clauses
+        self._counts = counts
+        self._watchers = watchers
+        self._facts = facts
+
+    def closure(self, seeds: Iterable[str] = ()) -> frozenset[str]:
+        """Least model of the rules plus a unit clause per seed: each
+        clause fires when its count of unsatisfied body atoms reaches 0."""
+        clauses, watchers = self._clauses, self._watchers
+        remaining = self._counts.copy()
+        model: set[str] = set()
+        queue = [*self._facts, *seeds]
+        while queue:
+            atom = queue.pop()
+            if atom in model:
+                continue
+            model.add(atom)
+            for i in watchers.get(atom, ()):
+                remaining[i] -= 1
+                if remaining[i] == 0:
+                    head = clauses[i][0]
+                    if head not in model:
+                        queue.append(head)
+        return frozenset(model)
+
+
 def least_model(program: TransformedProgram | HornClauses) -> frozenset[str]:
-    """Least Herbrand model of a plain propositional Horn program.
-
-    Agenda-driven: each clause keeps a count of unsatisfied body atoms
-    and fires when it reaches zero, so the whole computation is linear
-    in program size.
-    """
-    if isinstance(program, TransformedProgram):
-        clauses = program.pairs()
-    else:
-        clauses = tuple((h, tuple(b)) for h, b in program)
-
-    remaining = []
-    watchers: dict[str, list[int]] = defaultdict(list)
-    model: set[str] = set()
-    queue: list[str] = []
-    for i, (head, body) in enumerate(clauses):
-        unsat = set(body)
-        remaining.append(len(unsat))
-        if not unsat:
-            queue.append(head)
-        for b in unsat:
-            watchers[b].append(i)
-
-    while queue:
-        atom = queue.pop()
-        if atom in model:
-            continue
-        model.add(atom)
-        for i in watchers.get(atom, ()):
-            remaining[i] -= 1
-            if remaining[i] == 0:
-                head = clauses[i][0]
-                if head not in model:
-                    queue.append(head)
-    return frozenset(model)
+    """Least Herbrand model of a plain propositional Horn program."""
+    return HornRules(program).closure()
 
 
 def restrict_by_strategy(

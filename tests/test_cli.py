@@ -433,6 +433,24 @@ class TestRepl:
         assert code == 0
         assert "yes." in out
 
+    def test_marked_inject_is_an_error_and_keeps_session_open(
+        self, capsys, monkeypatch, scenario_dir
+    ):
+        code, out, _ = self.drive(
+            capsys,
+            monkeypatch,
+            scenario_dir,
+            "inject Mary past(alarm_clock_rings)\nstate Mary\nquit\n",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1] == (
+            "dali> error: inbox event past(alarm_clock_rings) is marked; "
+            "give the event name"
+        )
+        assert "injected" not in out
+        assert "dali> ev: []" in lines
+
     def test_unknown_command_help(self, capsys, monkeypatch, scenario_dir):
         code, out, _ = self.drive(capsys, monkeypatch, scenario_dir, "wibble\nquit\n")
         assert code == 0

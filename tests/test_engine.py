@@ -257,6 +257,21 @@ class TestEvents:
         with pytest.raises(DaliConfigError):
             engine.inject("mystery")
 
+    @pytest.mark.parametrize("event", ["past(e)", "now(e)", Atom.past("e"), Atom.now("e")])
+    def test_inject_rejects_a_marked_event(self, event):
+        engine = Engine(program("agent A. @external e. e :> r. r."))
+        with pytest.raises(DaliConfigError, match=r"inbox event \w+\(e\) is marked"):
+            engine.inject(event)
+        assert engine.state.ev_names() == ()
+        assert engine.quiescent
+
+    def test_run_agent_parses_inbox_text(self, scenario):
+        mary = scenario("mary")
+        with pytest.raises(DaliConfigError, match=r"now\(alarm_clock_rings\) is marked"):
+            run_agent(mary, inbox=[(0, "now(alarm_clock_rings)")])
+        r = run_agent(mary, inbox=[(0, "alarm_clock_rings")])
+        assert r.state.pv_names() == ("alarm_clock_rings", "my_god_its_late")
+
 
 class TestBacklog:
     """2,000 external events pending at once: EV stays a FIFO set, and

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from dali import model, runtime
 from dali.errors import DaliConfigError, DaliSyntaxError, DaliValidationError
-from dali.model import AgentProgram, Atom
+from dali.model import ACTION, ORDINARY, REACTIVE, AgentProgram, Atom, Clause
 from dali.runtime import (
     ChannelMapping,
     SystemConfig,
@@ -15,6 +15,7 @@ from dali.runtime import (
     load_system_config,
     run_system,
 )
+from dali.semantics import InitialSituation, least_model, transform_program
 
 
 @pytest.fixture
@@ -277,21 +278,58 @@ class TestBroadcastRule:
 
 
 POOL = ("ping", "pong", "bell", "knock", "ring")
+INTERNAL_POOL = ("go", "tired")
+PLAIN_POOL = ("p", "q")
+
+
+@st.composite
+def agent_clauses(draw, externals, internals, actions):
+    """Up to 4 rules: reactive ones for declared events, ordinary ones
+    for internal and plain heads, action rules; bodies use externals
+    only under past(..) or now(..)."""
+    ext = [a.name for a in externals]
+    events = ext + [a.name for a in internals]
+    heads = {
+        ORDINARY: [Atom(n) for n in PLAIN_POOL] + list(internals),
+        REACTIVE: [Atom(e) for e in events],
+        ACTION: list(actions),
+    }
+    body_atoms = (
+        heads[ORDINARY]
+        + list(actions)
+        + [Atom.past(e) for e in events]
+        + [Atom.now(e) for e in ext]
+    )
+    kinds = [k for k in (ORDINARY, REACTIVE, ACTION) if heads[k]]
+    clauses = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(kinds))
+        head = draw(st.sampled_from(heads[kind]))
+        min_size = 0 if kind == ORDINARY else 1
+        body = draw(st.lists(st.sampled_from(body_atoms), min_size=min_size, max_size=3))
+        clauses.append(Clause(head, tuple(body), kind))
+    return tuple(clauses)
 
 
 @st.composite
 def routed_systems(draw):
     """2-5 agents, listed out of name order, drawing externals and
-    actions from one name pool, and map entries that
+    actions from one name pool, internals from another, and reactive,
+    ordinary and action rules over them; and map entries that
     `SystemConfig.validate` accepts.  An agent may declare one of its
     actions as external too: routing must still never feed it back."""
     agents = {}
     for i in draw(st.permutations(range(draw(st.integers(2, 5))))):
         name = f"A{i}"
+        externals = tuple(map(Atom, draw(st.lists(st.sampled_from(POOL), max_size=3))))
+        internals = tuple(map(Atom, draw(st.lists(st.sampled_from(INTERNAL_POOL), max_size=2))))
+        actions = tuple(map(Atom, draw(st.lists(st.sampled_from(POOL), max_size=3))))
         agents[name] = AgentProgram(
             name,
-            externals=tuple(map(Atom, draw(st.lists(st.sampled_from(POOL), max_size=3)))),
-            actions=tuple(map(Atom, draw(st.lists(st.sampled_from(POOL), max_size=3)))),
+            clauses=draw(agent_clauses(externals, internals, actions)),
+            externals=externals,
+            internals=internals,
+            actions=actions,
         )
     valid = [
         (p, a.name, c, e.name)
@@ -327,7 +365,71 @@ def test_routes_match_the_brute_force_rule(config):
             assert dropped(broadcast.warnings([[(p, a.name)]])) == expected_drops
 
 
+def next_units(config, models):
+    """The units the broadcast rule derives from one round's models."""
+    out = {name: set() for name in config.agents}
+    for name, program in config.agents.items():
+        mine = models[name]
+        out[name] |= {Atom(a.name) for a in program.internals if a.name in mine}
+        out[name] |= {Atom.past(e) for e in program.event_names if f"past_{e}" in mine}
+        for act in program.actions:
+            if act.name not in mine:
+                continue
+            for c, cprog in config.agents.items():
+                event = config.mapping.resolve(name, act.name, c)
+                if c != name and event in cprog.external_names:
+                    out[c].add(Atom(event))
+    return {name: frozenset(atoms) for name, atoms in out.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(routed_systems(), st.data())
+def test_evolution_rounds_match_a_rebuilt_transform(config, data):
+    """Each round's model is the least model of the agent's whole P'
+    rebuilt from that round's units, and each round's units follow from
+    the previous round's models by the broadcast rule."""
+    init = {}
+    for name, program in config.agents.items():
+        events = sorted(program.event_names)
+        choices = [Atom(e) for e in events] + [Atom.past(e) for e in events]
+        init[name] = data.draw(st.lists(st.sampled_from(choices), max_size=3)) if choices else []
+    trace = evolve_system(config, init)
+    assert trace.rounds[0].units == {n: frozenset(init[n]) for n in config.agents}
+    for rnd in trace.rounds:
+        for name, program in config.agents.items():
+            tp = transform_program(program, InitialSituation(tuple(rnd.units[name])))
+            assert rnd.models[name] == least_model(tp)
+    for earlier, later in zip(trace.rounds, trace.rounds[1:]):
+        assert later.units == next_units(config, earlier.models)
+    last = trace.rounds[-1]
+    if trace.reached_fixpoint:
+        assert next_units(config, last.models) == last.units
+    else:
+        assert len(trace.rounds) == runtime.MAX_EVOLUTION_ROUNDS
+
+
 class TestEvolution:
+    @pytest.mark.parametrize(
+        "event,message",
+        [
+            (
+                Atom.now("alarm_clock_rings"),
+                "init entry now(alarm_clock_rings) is redundant: present "
+                "markers are implied for initial external events",
+            ),
+            (Atom("nosuch"), "init event 'nosuch' is not a declared event of agent Mary"),
+            (
+                Atom.past("nosuch"),
+                "init past event 'nosuch' is not a declared event of agent Mary",
+            ),
+        ],
+    )
+    def test_init_is_validated(self, scenario_dir, event, message):
+        config = load_system_config(scenario_dir / "mary.system")
+        with pytest.raises(DaliConfigError) as exc:
+            evolve_system(config, {"Mary": [Atom("alarm_clock_rings"), event]})
+        assert str(exc.value) == message
+
     def test_no_events_fixpoint_immediately(self, scenario):
         config = SystemConfig({"S": scenario("snapshot1")})
         trace = evolve_system(config)
