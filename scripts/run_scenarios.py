@@ -45,9 +45,7 @@ def main() -> int:
         reach = exhaustive_interleavings(program, inbox=inbox)
         sets = sorted(reach.action_multisets)
         print(f"  reachable action multisets ({reach.explored} states): {sets}")
-        member = reach.contains(
-            state.performed_names(), {a.name for a in state.pv}
-        )
+        member = reach.contains(state.performed_names(), state.pv)
         print(f"  default strategy outcome reachable: {member}")
         print()
     return 0

@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from .engine import ACTIVE, SUCCEEDED, Strategy, run_agent
+from .engine import ACTIVE, MAX_STEPS, SUCCEEDED, Strategy, run_agent
 from .errors import DaliError, DaliValidationError
 from .model import validate_program
 from .parser import load_agent_file, parse_init_atoms
@@ -63,10 +63,10 @@ def _positive_int(text: str, what: str) -> int:
     return value
 
 
-def _env_max_steps() -> int | None:
-    """The DALI_MAX_STEPS step budget, or None when it is unset."""
+def _env_max_steps(default: int) -> int:
+    """The DALI_MAX_STEPS step budget, or `default` when it is unset."""
     text = os.environ.get("DALI_MAX_STEPS")
-    return _positive_int(text, "DALI_MAX_STEPS") if text else None
+    return _positive_int(text, "DALI_MAX_STEPS") if text else default
 
 
 def _strategy(spec: str | None) -> Strategy:
@@ -81,14 +81,15 @@ def _strategy(spec: str | None) -> Strategy:
                 kwargs["internal_check_period"] = _positive_int(value, "strategy m")
             else:
                 raise DaliError(f"unknown strategy field {key!r} (use k=..,m=..)")
-    max_steps = _env_max_steps()
-    if max_steps is not None:
-        kwargs["max_steps"] = max_steps
     return Strategy(**kwargs)
 
 
 def _write_trace(trace, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise DaliError(f"cannot write trace file {path}: {exc.strerror}") from None
+    with fh:
         for agent, rec in trace:
             fh.write(json.dumps(rec.trace_dict(agent), separators=(",", ":")))
             fh.write("\n")
@@ -100,9 +101,7 @@ def cmd_run(args) -> int:
         if args.max_ticks < 0:
             raise DaliError(f"--max-ticks must be >= 0, got {args.max_ticks}")
         config.max_ticks = args.max_ticks
-    max_steps = _env_max_steps()
-    if max_steps is not None:
-        config.budget = max_steps
+    config.budget = _env_max_steps(config.budget)
     runner = SystemRunner(config)
     result = runner.run()
     for w in result.warnings:
@@ -121,7 +120,12 @@ def cmd_run(args) -> int:
 
 def cmd_query(args) -> int:
     program = _load_validated(args.agent)
-    result = run_agent(program, query=args.atom, strategy=_strategy(args.strategy))
+    result = run_agent(
+        program,
+        query=args.atom,
+        strategy=_strategy(args.strategy),
+        max_steps=_env_max_steps(MAX_STEPS),
+    )
     print("yes." if result.query_succeeded else "no.")
     return EXIT_OK if result.query_succeeded else EXIT_QUERY_FAILED
 
@@ -164,7 +168,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_repl(args) -> int:
     config = load_system_config(args.sysconfig)
-    budget = _env_max_steps() or 1000
+    budget = _env_max_steps(1000)
     runner = SystemRunner(config)
     print(f"agents: {', '.join(runner.engines)}  (inject/step/state/query/quit)")
     while True:

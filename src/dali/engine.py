@@ -41,13 +41,13 @@ of EV, IV or the goal, apart from copying the one tuple the step changes
 its own.  Finished components leave the round-robin list and running
 attempts are a live set.  EV and IV are insertion-ordered sets keyed by
 event name, so an arrival, a coalesced duplicate, a join of the oldest
-event and a now(..) test are each one dictionary operation; past(..)
-tests and attempt choices look names up in a set of PV names.  The EV,
-IV and sorted PV name tuples change only when their set does (a join
-slices one name off; a burst of arrivals costs one rebuild), and every
-record in between shares them.  Each component keeps its goal's text
-beside its goal, so a rewrite stringifies only the clause body that
-replaces the selected atom.
+event and a now(..) test are each one dictionary operation; PV is the
+set of event names the agent reacted to, and past(..) tests and attempt
+choices look names up in it.  The EV, IV and sorted PV name tuples
+change only when their set does (a join slices one name off; a burst of
+arrivals costs one rebuild), and every record in between shares them.
+Each component keeps its goal's text beside its goal, so a rewrite
+stringifies only the clause body that replaces the selected atom.
 """
 
 from __future__ import annotations
@@ -57,11 +57,10 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .errors import DaliConfigError, DaliValidationError
+from .errors import DaliValidationError
 from .model import (
     ACTION,
     PAST,
-    PLAIN,
     PRESENT,
     REACTIVE,
     AgentProgram,
@@ -84,6 +83,9 @@ FAILED = "failed"
 
 TRACE_FIELDS = ("step", "case", "agent", "selected", "component", "ev", "iv", "pv", "performed")
 
+# The step budget of `Engine.run` and `run_agent` when none is given.
+MAX_STEPS = 10_000
+
 _INDEX = attrgetter("index")
 
 
@@ -92,21 +94,18 @@ class Strategy:
     """Deterministic scheduling policy.
 
     event_check_period (k) and internal_check_period (m) say how often
-    external joins and the internal phase are given priority; max_steps
-    is the default step budget of `Engine.run` and `run_agent`.
-    Components run round-robin, clauses are tried in program order and
-    attempts cycle through the internal events in declaration order.
+    external joins and the internal phase are given priority.  Components
+    run round-robin, clauses are tried in program order and attempts
+    cycle through the internal events in declaration order.  The step
+    budget is an argument of `Engine.run` and `run_agent`.
     """
 
     event_check_period: int = 1
     internal_check_period: int = 2
-    max_steps: int = 10_000
 
     def __post_init__(self):
         if self.event_check_period < 1 or self.internal_check_period < 1:
             raise ValueError("strategy periods must be >= 1")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,13 +119,13 @@ class GoalAtom:
 @dataclass(slots=True)
 class _Region:
     """A nested subproof's end marker in the goal, with its completion
-    effects.  Backtracking can restore a marker that already fired;
-    `done` keeps its effect from happening twice."""
+    effects: perform the owner action, or else record the owner internal
+    event.  Backtracking can restore a marker that already fired; `done`
+    keeps its effect from happening twice."""
 
     owner: Atom
     component: int
     perform: bool
-    record_iv: bool
     done: bool = False
 
 
@@ -141,7 +140,7 @@ class _ChoicePoint:
 class Component:
     index: int
     origin: str
-    origin_atom: Atom | None
+    origin_atom: Atom
     atoms: tuple[GoalAtom | _Region, ...]
     goal: tuple[str, ...]  # the text of each GoalAtom in atoms, in order
     status: str = ACTIVE
@@ -154,7 +153,7 @@ class Component:
 class ComponentOutcome:
     index: int
     origin: str
-    atom: str | None
+    atom: str
     status: str
     failure: str | None = None
 
@@ -165,15 +164,16 @@ class AgentState:
 
     ev and iv are insertion-ordered sets of pending events, each an
     OrderedDict from event name to its atom: membership is one lookup and
-    the oldest event (arrival/derivation order) is taken in O(1).  pv
-    only grows.  performed logs (action, step) pairs; coalesced counts
-    event arrivals merged into an already pending instance.
+    the oldest event (arrival/derivation order) is taken in O(1).  pv is
+    the set of names of the events reacted to, and only grows.  performed
+    logs the actions in order (each record holds its step); coalesced
+    counts event arrivals merged into an already pending instance.
     """
 
     ev: OrderedDict[str, Atom] = field(default_factory=OrderedDict)
     iv: OrderedDict[str, Atom] = field(default_factory=OrderedDict)
-    pv: set[Atom] = field(default_factory=set)
-    performed: list[tuple[Atom, int]] = field(default_factory=list)
+    pv: set[str] = field(default_factory=set)
+    performed: list[Atom] = field(default_factory=list)
     coalesced: dict[str, int] = field(default_factory=dict)
 
     def ev_names(self) -> tuple[str, ...]:
@@ -183,10 +183,10 @@ class AgentState:
         return tuple(self.iv)
 
     def pv_names(self) -> tuple[str, ...]:
-        return tuple(sorted(a.name for a in self.pv))
+        return tuple(sorted(self.pv))
 
     def performed_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a, _ in self.performed)
+        return tuple(a.name for a in self.performed)
 
 
 @dataclass(frozen=True, slots=True)
@@ -226,7 +226,7 @@ class Engine:
     """Interpreter instance owning one agent's state.
 
     Instances never share mutable state; inter-agent effects flow through
-    the on_action callback, which fires once per performed action.
+    the on_action callback, called with the atom of each performed action.
     """
 
     def __init__(
@@ -252,13 +252,11 @@ class Engine:
         self._ev_names: tuple[str, ...] | None = ()
         self._iv_names: tuple[str, ...] | None = ()
         self._pv_names: tuple[str, ...] = ()  # sorted
-        self._pv_set: set[str] = set()  # the names in PV
         self._pending: list[_Region] = []  # subproofs awaiting a completion record
         self._rr = 0
         self._attempt_cursor = 0
         self._last_attempt: dict[str, int] = {}
         self._version = 0  # bumped on event traffic; gates re-attempts
-        self._ext_names = program.external_names
         self._int_names = program.internal_names
         self._act_names = program.action_names
 
@@ -268,16 +266,9 @@ class Engine:
         """Deliver an external event, given unmarked.  Returns False if it
         was coalesced into an instance already pending."""
         atom = parse_atom_text(event) if isinstance(event, str) else event
-        if atom.marker != PLAIN:
-            raise DaliConfigError(f"inbox event {atom} is marked; give the event name")
-        if atom.name not in self._ext_names:
-            raise DaliConfigError(
-                f"'{atom.name}' is not a declared external event of "
-                f"agent {self.program.name}"
-            )
+        name = self.program.inbox_name(atom)
         self._version += 1
         ev = self.state.ev
-        name = atom.name
         if name in ev:
             self.state.coalesced[name] = self.state.coalesced.get(name, 0) + 1
             return False
@@ -330,27 +321,18 @@ class Engine:
             return self._join(n, EXTERNAL_REACTION, "iv")
         return None
 
-    def run(self, max_steps: int | None = None) -> list[StepRecord]:
+    def run(self, max_steps: int = MAX_STEPS) -> list[StepRecord]:
         """Step until quiescence or the budget runs out; returns the
         records produced by this call."""
-        budget = self.strategy.max_steps if max_steps is None else max_steps
-        out: list[StepRecord] = []
-        while len(out) < budget:
-            rec = self.step()
-            if rec is None:
+        start = len(self.records)
+        for _ in range(max_steps):
+            if self.step() is None:
                 break
-            out.append(rec)
-        return out
+        return self.records[start:]
 
     def component_outcomes(self) -> tuple[ComponentOutcome, ...]:
         return tuple(
-            ComponentOutcome(
-                c.index,
-                c.origin,
-                str(c.origin_atom) if c.origin_atom else None,
-                c.status,
-                c.failure,
-            )
+            ComponentOutcome(c.index, c.origin, str(c.origin_atom), c.status, c.failure)
             for c in self.components
         )
 
@@ -403,9 +385,8 @@ class Engine:
                 self._iv_names = self._iv_names[1:]
             removed = {"iv_removed": (name,)}
         pv_added = ()
-        if name not in self._pv_set:
-            st.pv.add(event)
-            self._pv_set.add(name)
+        if name not in st.pv:
+            st.pv.add(name)
             pv_added = (name,)
             names = list(self._pv_names)
             insort(names, name)
@@ -424,7 +405,7 @@ class Engine:
         and when nothing changed since its last attempt.
         """
         internals = self.program.internals
-        iv, pv = self.state.iv, self._pv_set
+        iv, pv = self.state.iv, self.state.pv
         for offset in range(len(internals)):
             pos = (self._attempt_cursor + offset) % len(internals)
             name = internals[pos].name
@@ -465,7 +446,7 @@ class Engine:
                 return self._record(n, "iii", selected, comp)
             reason = f"now({atom.name}) unsatisfied: event not pending"
         elif atom.marker == PAST:
-            if atom.name in self._pv_set:
+            if atom.name in self.state.pv:
                 selected = comp.goal[0]
                 self._replace_leftmost(comp, ())
                 return self._record(n, "i", selected, comp)
@@ -489,7 +470,7 @@ class Engine:
             if atom.name in self._act_names:
                 # An action without an action rule always succeeds.
                 self._replace_leftmost(comp, ())
-                iv_added = self._perform(atom, n)
+                iv_added = self._perform(atom)
                 return self._record(
                     n, "ii", atom.name, comp, performed=atom.name, iv_added=iv_added
                 )
@@ -515,12 +496,12 @@ class Engine:
         children = tuple(GoalAtom(b, ancestors) for b in clause.body)
         internal = atom.name in self._int_names
         if clause.kind == ACTION:
-            children += (_Region(atom, comp.index, True, internal),)
+            children += (_Region(atom, comp.index, True),)
         elif clause.kind != REACTIVE and internal:
             # A proved internal event must be recorded; nest its subproof.
             # Resolving with the reactive rule is the reaction itself, so
             # it must not re-record the event.
-            children += (_Region(atom, comp.index, False, True),)
+            children += (_Region(atom, comp.index, False),)
         self._replace_leftmost(comp, children, tuple(map(str, clause.body)))
         return self._record(n, "i", selected, comp)
 
@@ -568,11 +549,10 @@ class Engine:
         region = self._pending.pop(0)
         n = len(self.records) + 1
         performed = None
-        iv_added: tuple[str, ...] = ()
         if region.perform:
             performed = region.owner.name
-            iv_added = self._perform(region.owner, n)
-        elif region.record_iv:
+            iv_added = self._perform(region.owner)
+        else:
             iv_added = self._record_internal(region.owner)
         return self._record(
             n,
@@ -583,10 +563,10 @@ class Engine:
             iv_added=iv_added,
         )
 
-    def _perform(self, atom: Atom, step: int) -> tuple[str, ...]:
-        self.state.performed.append((atom, step))
+    def _perform(self, atom: Atom) -> tuple[str, ...]:
+        self.state.performed.append(atom)
         if self.on_action is not None:
-            self.on_action(atom, step)
+            self.on_action(atom)
         if atom.name in self._int_names:
             return self._record_internal(atom)
         return ()
@@ -597,7 +577,7 @@ class Engine:
         # queue another reaction.
         name = atom.name
         iv = self.state.iv
-        if name in iv or name in self._pv_set:
+        if name in iv or name in self.state.pv:
             return ()
         iv[name] = atom
         self._iv_names = None
@@ -618,7 +598,7 @@ def run_agent(
     query: Atom | str | None = None,
     inbox=(),
     strategy: Strategy | None = None,
-    max_steps: int | None = None,
+    max_steps: int = MAX_STEPS,
 ) -> RunResult:
     """Run one agent to quiescence (or the step budget).
 
@@ -635,7 +615,6 @@ def run_agent(
          for t, e in inbox),
         key=lambda entry: entry.tick,
     )
-    budget = max_steps if max_steps is not None else engine.strategy.max_steps
     truncated = False
     i = 0  # pending[i:] are still to be delivered
 
@@ -647,7 +626,7 @@ def run_agent(
 
     while True:
         deliver(engine.steps_taken)
-        if engine.steps_taken >= budget:
+        if engine.steps_taken >= max_steps:
             truncated = not engine.quiescent or i < len(pending)
             break
         if engine.step() is None:

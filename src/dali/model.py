@@ -13,6 +13,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from .errors import DaliConfigError
+
 # Atom markers.
 PLAIN = "plain"
 PAST = "past"
@@ -55,11 +57,6 @@ class Atom:
     def now(cls, name: str) -> "Atom":
         return cls(name, PRESENT)
 
-    @property
-    def base(self) -> "Atom":
-        """The unmarked event atom this marker refers to."""
-        return self if self.marker == PLAIN else Atom(self.name)
-
     def __str__(self) -> str:
         if self.marker == PAST:
             return f"past({self.name})"
@@ -84,10 +81,6 @@ class Clause:
         object.__setattr__(self, "body", tuple(self.body))
         if self.kind not in KINDS:
             raise ValueError(f"bad clause kind: {self.kind!r}")
-
-    @property
-    def is_fact(self) -> bool:
-        return self.kind == ORDINARY and not self.body
 
     def __str__(self) -> str:
         if not self.body:
@@ -173,17 +166,18 @@ class AgentProgram:
         rule, in program order.  Reactive clauses never prove their head."""
         return self._defining.get(name, ())
 
-    # -- derived marker sets (never declared) ---------------------------
+    # -- inbox ----------------------------------------------------------
 
-    def past_marked(self) -> tuple[Atom, ...]:
-        """All past-marked atoms appearing syntactically in the program."""
-        return _dedupe(a for c in self.clauses for a in c.body if a.marker == PAST)
-
-    def present_marked(self) -> tuple[Atom, ...]:
-        """All present-marked atoms appearing syntactically in the program."""
-        return _dedupe(
-            a for c in self.clauses for a in c.body if a.marker == PRESENT
-        )
+    def inbox_name(self, atom: Atom) -> str:
+        """The name of an event delivered to this agent's inbox, which
+        must be unmarked and a declared external event."""
+        if atom.marker != PLAIN:
+            raise DaliConfigError(f"inbox event {atom} is marked; give the event name")
+        if atom.name not in self.external_names:
+            raise DaliConfigError(
+                f"'{atom.name}' is not a declared external event of agent {self.name}"
+            )
+        return atom.name
 
 
 @dataclass(frozen=True, slots=True)

@@ -12,8 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import DaliConfigError
-from .model import ACTION, PAST, PLAIN, PRESENT, AgentProgram, Atom
+from .model import ACTION, PAST, PRESENT, AgentProgram, Atom
 from .parser import parse_atom_text
 
 
@@ -45,11 +44,17 @@ MAX_GOAL_ATOMS = 64
 class ReachabilityResult:
     """Everything the search reached before quiescing or giving up."""
 
-    action_multisets: frozenset[tuple[str, ...]]
-    pv_sets: frozenset[frozenset[str]]
     outcomes: frozenset[tuple[tuple[str, ...], frozenset[str]]]
     explored: int
     truncated: bool
+
+    @property
+    def action_multisets(self) -> frozenset[tuple[str, ...]]:
+        return frozenset(performed for performed, _ in self.outcomes)
+
+    @property
+    def pv_sets(self) -> frozenset[frozenset[str]]:
+        return frozenset(pv for _, pv in self.outcomes)
 
     def contains(self, performed, pv) -> bool:
         """Is (performed multiset, final PV) a reachable outcome?"""
@@ -98,17 +103,6 @@ def _canon(state: _State) -> _State:
     )
 
 
-def _inbox_name(program: AgentProgram, event: Atom | str) -> str:
-    atom = parse_atom_text(event) if isinstance(event, str) else event
-    if atom.marker != PLAIN:
-        raise DaliConfigError(f"inbox event {atom} is marked; give the event name")
-    if atom.name not in program.external_names:
-        raise DaliConfigError(
-            f"'{atom.name}' is not a declared external event of agent {program.name}"
-        )
-    return atom.name
-
-
 def exhaustive_interleavings(
     program: AgentProgram,
     inbox=(),
@@ -129,7 +123,10 @@ def exhaustive_interleavings(
     internal_names = program.internal_names
     action_names = program.action_names
 
-    ev = frozenset(_inbox_name(program, e) for e in inbox)
+    ev = frozenset(
+        program.inbox_name(parse_atom_text(e) if isinstance(e, str) else e)
+        for e in inbox
+    )
     comps: tuple = ()
     if query is not None:
         q = parse_atom_text(query) if isinstance(query, str) else query
@@ -261,8 +258,6 @@ def exhaustive_interleavings(
     seen: set[_State] = set()
     queue: deque[_State] = deque([_canon(start)])
     seen.add(queue[0])
-    actions: set[tuple] = set()
-    pvs: set[frozenset] = set()
     outcomes: set[tuple] = set()
     truncated = False
 
@@ -276,8 +271,6 @@ def exhaustive_interleavings(
             # Quiescent except possibly for self-triggered attempts, which
             # a strategy is free to schedule never: record the outcome,
             # then keep exploring the attempt branches too.
-            actions.add(state.performed)
-            pvs.add(state.pv)
             outcomes.add((state.performed, state.pv))
         succ += attempt_successors(state)
         for nxt in succ:
@@ -290,10 +283,4 @@ def exhaustive_interleavings(
             seen.add(nxt)
             queue.append(nxt)
 
-    return ReachabilityResult(
-        frozenset(actions),
-        frozenset(pvs),
-        frozenset(outcomes),
-        len(seen),
-        truncated,
-    )
+    return ReachabilityResult(frozenset(outcomes), len(seen), truncated)

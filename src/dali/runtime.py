@@ -269,7 +269,7 @@ class SystemRunner:
         for name, program in config.agents.items():
             self.engines[name] = Engine(
                 program,
-                on_action=lambda atom, step, producer=name: self._actions.append(
+                on_action=lambda atom, producer=name: self._actions.append(
                     (producer, atom)
                 ),
             )
@@ -387,11 +387,15 @@ def evolve_system(
     become external-event units of every other agent (via the channel
     mapping), its internal events and past events become its own units.
     Past units accumulate; external units are replaced each round.  Only
-    `init` is validated: the units derived from it are declared events
-    by construction.
+    `init` is validated, since the units derived from it are declared
+    events by construction; a key of `init` that names no agent is a
+    `DaliConfigError`.
     """
     init = init or {}
     agents = config.agents
+    for name in init:
+        if name not in agents:
+            raise DaliConfigError(f"init names unknown agent '{name}'")
     units: dict[str, frozenset[Atom]] = {
         name: frozenset(InitialSituation(init.get(name, ())).validated(program).events)
         for name, program in agents.items()

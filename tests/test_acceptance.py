@@ -82,7 +82,7 @@ def test_criterion_3_scenario_reproduction(scenario):
         assert not reachable.truncated
         result = results[name]
         assert reachable.contains(
-            result.state.performed_names(), {a.name for a in result.state.pv}
+            result.state.performed_names(), result.state.pv
         ), f"{name}: default outcome not reachable"
 
     assert time.perf_counter() - start < 5.0
@@ -176,7 +176,7 @@ def test_criterion_6_broadcast_semantics(scenario_dir):
     assert consumer.state.performed_names() == ("log_it",)
     runner.run()
     assert "ping" not in producer.state.ev_names()
-    assert all(a.name != "ping" for a in producer.state.pv)
+    assert "ping" not in producer.state.pv
 
     trace = evolve_system(load_system_config(scenario_dir / "ping.system"))
     assert trace.reached_fixpoint

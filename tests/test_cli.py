@@ -7,6 +7,7 @@ Regenerate those files (only when a change of behaviour is intended):
     PYTHONPATH=src python tests/test_cli.py
 """
 
+import errno
 import io
 import json
 import os
@@ -263,6 +264,22 @@ class TestRun:
         assert any(
             l["agent"] == "Consumer" and l["case"] == "iv" and l["selected"] == "ping"
             for l in lines
+        )
+
+    @pytest.mark.parametrize(
+        "target, error",
+        [("", errno.EISDIR), ("missing/t.jsonl", errno.ENOENT)],
+        ids=["directory", "missing parent"],
+    )
+    def test_unwritable_trace_is_exit_3(self, capsys, scenario_dir, tmp_path, target, error):
+        trace = tmp_path / target
+        code, out, err = run_cli(
+            capsys, "run", str(scenario_dir / "ping.system"), "--trace", str(trace)
+        )
+        assert code == 3
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            f"cannot write trace file {trace}: {os.strerror(error)}"
         )
 
     def test_truncated_run_exits_two(self, capsys, tmp_path):

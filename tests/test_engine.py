@@ -391,7 +391,8 @@ class TestInternalEvents:
         budget = 9
         r = run_agent(
             scenario("henry"),
-            strategy=Strategy(internal_check_period=m, max_steps=budget),
+            strategy=Strategy(internal_check_period=m),
+            max_steps=budget,
         )
         attempts = [rec for rec in r.records if rec.case == "vi"]
         assert len(attempts) <= -(-budget // m)  # ceil

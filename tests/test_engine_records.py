@@ -130,8 +130,7 @@ def check_live_state(engine: Engine) -> None:
         assert all(k == a.name and a.marker == PLAIN for k, a in queue.items())
     assert engine._ev_names == tuple(a.name for a in st.ev.values())
     assert engine._iv_names == tuple(a.name for a in st.iv.values())
-    assert engine._pv_set == {a.name for a in st.pv}
-    assert engine._pv_names == tuple(sorted(a.name for a in st.pv))
+    assert engine._pv_names == tuple(sorted(st.pv))
     if engine.records:
         last = engine.records[-1]
         assert last.ev is engine._ev_names

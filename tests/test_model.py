@@ -26,11 +26,6 @@ class TestAtom:
         assert str(Atom.past("x")) == "past(x)"
         assert str(Atom.now("x")) == "now(x)"
 
-    def test_base_strips_marker(self):
-        assert Atom.past("x").base == Atom("x")
-        a = Atom("x")
-        assert a.base is a  # plain atoms are their own base
-
     @pytest.mark.parametrize("bad", ["", "1x", "a-b", "a b", "a."])
     def test_bad_names_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -44,7 +39,6 @@ class TestAtom:
 class TestClause:
     def test_fact(self):
         c = Clause(Atom("p"))
-        assert c.is_fact
         assert str(c) == "p."
 
     def test_body_order_preserved(self):
@@ -178,13 +172,6 @@ class TestValidation:
 
 
 class TestDerivedSets:
-    def test_marked_sets_come_from_syntax_not_declarations(self, scenario):
-        mary = scenario("mary")
-        assert mary.present_marked() == (Atom.now("alarm_clock_rings"),)
-        assert mary.past_marked() == ()
-        george = scenario("george")
-        assert george.past_marked() == (Atom.past("girlfriend_call"),)
-
     def test_defining_clauses_exclude_reactive(self):
         p = henry()
         heads = [c.kind for c in p.defining_clauses("happy")]

@@ -125,7 +125,7 @@ class TestTickLoop:
         assert consumer.state.performed_names() == ("log_it",)
         # the producer never receives its own ping, at any tick
         assert "ping" not in producer.state.ev_names()
-        assert all(a.name != "ping" for a in producer.state.pv)
+        assert "ping" not in producer.state.pv
 
     def test_unmapped_action_warns_and_drops(self, ping_config):
         result = SystemRunner(ping_config).run()
@@ -429,6 +429,12 @@ class TestEvolution:
         with pytest.raises(DaliConfigError) as exc:
             evolve_system(config, {"Mary": [Atom("alarm_clock_rings"), event]})
         assert str(exc.value) == message
+
+    def test_init_names_unknown_agent(self, scenario_dir):
+        config = load_system_config(scenario_dir / "mary.system")
+        with pytest.raises(DaliConfigError) as exc:
+            evolve_system(config, {"Marry": [Atom("alarm_clock_rings")]})
+        assert str(exc.value) == "init names unknown agent 'Marry'"
 
     def test_no_events_fixpoint_immediately(self, scenario):
         config = SystemConfig({"S": scenario("snapshot1")})
