@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 from .engine import ACTIVE, MAX_STEPS, SUCCEEDED, Strategy, run_agent
 from .errors import DaliError, DaliValidationError
@@ -84,15 +85,11 @@ def _strategy(spec: str | None) -> Strategy:
     return Strategy(**kwargs)
 
 
-def _write_trace(trace, path) -> None:
+def _open_trace(path):
     try:
-        fh = open(path, "w", encoding="utf-8")
+        return open(path, "w", encoding="utf-8")
     except OSError as exc:
         raise DaliError(f"cannot write trace file {path}: {exc.strerror}") from None
-    with fh:
-        for agent, rec in trace:
-            fh.write(json.dumps(rec.trace_dict(agent), separators=(",", ":")))
-            fh.write("\n")
 
 
 def cmd_run(args) -> int:
@@ -103,11 +100,15 @@ def cmd_run(args) -> int:
         config.max_ticks = args.max_ticks
     config.budget = _env_max_steps(config.budget)
     runner = SystemRunner(config)
-    result = runner.run()
-    for w in result.warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    if args.trace:
-        _write_trace(result.trace, args.trace)
+    # Open the trace file before the run, so a bad path fails at once.
+    with _open_trace(args.trace) if args.trace else nullcontext() as fh:
+        result = runner.run()
+        for w in result.warnings:
+            print(f"warning: {w}", file=sys.stderr)
+        if fh is not None:
+            for agent, rec in result.trace:
+                fh.write(json.dumps(rec.trace_dict(agent), separators=(",", ":")))
+                fh.write("\n")
     for name, engine in runner.engines.items():
         st = engine.state
         print(

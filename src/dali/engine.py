@@ -46,8 +46,14 @@ set of event names the agent reacted to, and past(..) tests and attempt
 choices look names up in it.  The EV, IV and sorted PV name tuples
 change only when their set does (a join slices one name off; a burst of
 arrivals costs one rebuild), and every record in between shares them.
-Each component keeps its goal's text beside its goal, so a rewrite
-stringifies only the clause body that replaces the selected atom.
+Each component keeps its goal's text beside its goal, and the engine
+keeps each clause's body text once it has resolved with it, so a rewrite
+stringifies nothing.
+
+Step records, component outcomes, goal atoms and choice points are
+immutable named tuples (so are the P' clauses of `dali.semantics`):
+each is built by one tuple allocation.  Read their fields by name; a
+caller that used `dataclasses.asdict` now uses `._asdict()`.
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ from bisect import bisect_left, insort
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import DaliValidationError
 from .model import (
@@ -108,8 +115,7 @@ class Strategy:
             raise ValueError("strategy periods must be >= 1")
 
 
-@dataclass(frozen=True, slots=True)
-class GoalAtom:
+class GoalAtom(NamedTuple):
     """One pending subgoal: the atom and its proof ancestors (loop check)."""
 
     atom: Atom
@@ -129,8 +135,7 @@ class _Region:
     done: bool = False
 
 
-@dataclass(frozen=True, slots=True)
-class _ChoicePoint:
+class _ChoicePoint(NamedTuple):
     atoms: tuple[GoalAtom | _Region, ...]
     goal: tuple[str, ...]
     candidates: tuple[Clause, ...]
@@ -149,8 +154,7 @@ class Component:
     failure: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class ComponentOutcome:
+class ComponentOutcome(NamedTuple):
     index: int
     origin: str
     atom: str
@@ -189,8 +193,7 @@ class AgentState:
         return tuple(a.name for a in self.performed)
 
 
-@dataclass(frozen=True, slots=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One interpreter transition, with post-state snapshots and deltas."""
 
     step: int
@@ -259,6 +262,9 @@ class Engine:
         self._version = 0  # bumped on event traffic; gates re-attempts
         self._int_names = program.internal_names
         self._act_names = program.action_names
+        # Per clause resolved with so far, keyed by identity (the program
+        # holds every clause, so no id is reused): `_resolvent_info`.
+        self._clause_info: dict[int, tuple[tuple[str, ...], bool | None]] = {}
 
     # -- inputs ----------------------------------------------------------
 
@@ -338,21 +344,19 @@ class Engine:
 
     # -- the six step kinds -------------------------------------------------
 
-    def _record(self, n, case, selected, comp: Component, **deltas) -> StepRecord:
+    def _record(
+        self, n, case, selected, comp: Component, performed=None,
+        ev_removed=(), iv_added=(), iv_removed=(), pv_added=(),
+    ) -> StepRecord:
         if self._ev_names is None:
             self._ev_names = tuple(self.state.ev)
         if self._iv_names is None:
             self._iv_names = tuple(self.state.iv)
+        # Positional, in field order; no step adds to EV (`inject` does).
         rec = StepRecord(
-            step=n,
-            case=case,
-            selected=selected,
-            component=comp.index,
-            goal=comp.goal,
-            ev=self._ev_names,
-            iv=self._iv_names,
-            pv=self._pv_names,
-            **deltas,
+            n, case, selected, comp.index, comp.goal,
+            self._ev_names, self._iv_names, self._pv_names,
+            performed, (), ev_removed, iv_added, iv_removed, pv_added,
         )
         self.records.append(rec)
         return rec
@@ -378,12 +382,12 @@ class Engine:
             name, event = st.ev.popitem(last=False)
             if self._ev_names is not None:
                 self._ev_names = self._ev_names[1:]
-            removed = {"ev_removed": (name,)}
+            ev_removed, iv_removed = (name,), ()
         else:
             name, event = st.iv.popitem(last=False)
             if self._iv_names is not None:
                 self._iv_names = self._iv_names[1:]
-            removed = {"iv_removed": (name,)}
+            ev_removed, iv_removed = (), (name,)
         pv_added = ()
         if name not in st.pv:
             st.pv.add(name)
@@ -393,7 +397,10 @@ class Engine:
             self._pv_names = tuple(names)
         self._version += 1
         comp = self._add_component(origin, event, reaction_pending=True)
-        return self._record(n, case, name, comp, pv_added=pv_added, **removed)
+        return self._record(
+            n, case, name, comp,
+            ev_removed=ev_removed, iv_removed=iv_removed, pv_added=pv_added,
+        )
 
     def _find_attempt(self) -> int | None:
         """Position in `program.internals` of the next internal event
@@ -493,17 +500,29 @@ class Engine:
         atom = ga.atom
         selected = comp.goal[0]
         ancestors = ga.ancestors | {atom.name}
-        children = tuple(GoalAtom(b, ancestors) for b in clause.body)
-        internal = atom.name in self._int_names
+        info = self._clause_info.get(id(clause))
+        if info is None:
+            info = self._clause_info[id(clause)] = self._resolvent_info(clause)
+        text, perform = info
+        children = [GoalAtom(b, ancestors) for b in clause.body]
+        if perform is not None:
+            children.append(_Region(atom, comp.index, perform))
+        self._replace_leftmost(comp, tuple(children), text)
+        return self._record(n, "i", selected, comp)
+
+    def _resolvent_info(self, clause: Clause) -> tuple[tuple[str, ...], bool | None]:
+        """A clause's body text, and whether resolving with it opens a
+        subproof that performs its head (True), records it (False) or
+        neither (None).  The selected atom is always the clause's head."""
+        text = tuple(map(str, clause.body))
         if clause.kind == ACTION:
-            children += (_Region(atom, comp.index, True),)
-        elif clause.kind != REACTIVE and internal:
+            return text, True
+        if clause.kind != REACTIVE and clause.head.name in self._int_names:
             # A proved internal event must be recorded; nest its subproof.
             # Resolving with the reactive rule is the reaction itself, so
             # it must not re-record the event.
-            children += (_Region(atom, comp.index, False),)
-        self._replace_leftmost(comp, children, tuple(map(str, clause.body)))
-        return self._record(n, "i", selected, comp)
+            return text, False
+        return text, None
 
     def _replace_leftmost(self, comp: Component, children, text=()) -> None:
         """Replace the selected atom with children, whose goal atoms read

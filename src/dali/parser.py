@@ -215,8 +215,8 @@ _TICK = attrgetter("tick")
 class EventScript:
     """Timed external-event injections, ordered by tick.
 
-    The order lets `due` and `after` find their entries by bisection,
-    so a lookup costs O(log n) plus the entries it returns.
+    The order lets `due`, `after` and `next_tick` find their entries by
+    bisection, so a lookup costs O(log n) plus the entries it returns.
     """
 
     entries: tuple[ScriptEntry, ...] = ()
@@ -232,6 +232,11 @@ class EventScript:
 
     def after(self, tick: int) -> tuple[ScriptEntry, ...]:
         return self.entries[bisect_right(self.entries, tick, key=_TICK) :]
+
+    def next_tick(self, tick: int) -> int | None:
+        """The first tick at or after `tick` with an entry, or None."""
+        i = bisect_left(self.entries, tick, key=_TICK)
+        return self.entries[i].tick if i < len(self.entries) else None
 
 
 def parse_event_script(text: str, filename: str = "<string>") -> EventScript:

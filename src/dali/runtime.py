@@ -314,17 +314,17 @@ class SystemRunner:
         delivery or script entry to come) or `max_ticks` is reached."""
         limit = self.config.max_ticks
         while True:
-            upcoming = self.config.script.after(self.tick - 1)
+            upcoming = self.config.script.next_tick(self.tick)
             idle = not self._deliveries and all(
                 e.quiescent for e in self.engines.values()
             )
-            quiescent = idle and not upcoming and not self._actions
+            quiescent = idle and upcoming is None and not self._actions
             if quiescent or self.tick >= limit:
                 break
-            if idle and upcoming and upcoming[0].tick > self.tick:
-                if upcoming[0].tick >= limit:
+            if idle and upcoming is not None and upcoming > self.tick:
+                if upcoming >= limit:
                     break  # unreachable within the tick budget
-                self.tick = upcoming[0].tick  # fast-forward idle ticks
+                self.tick = upcoming  # fast-forward idle ticks
             self.run_tick()
         return SystemResult(
             quiescent,

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DaliConfigError
 from .model import ACTION, PAST, PRESENT, REACTIVE, AgentProgram, Atom
@@ -54,9 +54,9 @@ def mangle(atom: Atom) -> str:
     return atom.name
 
 
-@dataclass(frozen=True, slots=True)
-class TransformedClause:
-    """A plain Horn clause of P' with its provenance."""
+class TransformedClause(NamedTuple):
+    """A plain Horn clause of P' with its provenance (an immutable named
+    tuple, built once per clause of every transform)."""
 
     head: str
     body: tuple[str, ...] = ()

@@ -11,7 +11,11 @@ from dali.engine import (
     INTERNAL_REACTION,
     QUERY,
     SUCCEEDED,
+    TRACE_FIELDS,
+    ComponentOutcome,
     Engine,
+    GoalAtom,
+    StepRecord,
     Strategy,
     run_agent,
 )
@@ -19,6 +23,7 @@ from dali.errors import DaliConfigError, DaliValidationError
 from dali.model import AgentProgram, Atom, Clause, REACTIVE
 from dali.oracle import naive_fixpoint
 from dali.parser import parse_agent_file
+from dali.semantics import RULE_ACTION, TransformedClause
 
 
 def program(text: str) -> AgentProgram:
@@ -540,3 +545,43 @@ def test_strategy_validation():
         Strategy(event_check_period=0)
     with pytest.raises(ValueError):
         Strategy(internal_check_period=-1)
+
+
+class TestValueTypes:
+    """Step records, component outcomes, goal atoms and P' clauses are
+    immutable, hashable values whose fields keep their names and order."""
+
+    RESULT = run_agent(program("agent A. @external e. @action x. e :> x."),
+                       inbox=[(0, "e")])
+
+    @pytest.mark.parametrize("value", [
+        RESULT.records[0],
+        RESULT.outcomes[0],
+        GoalAtom(Atom("a"), frozenset({"b"})),
+        TransformedClause("h", ("b",), RULE_ACTION, 0),
+    ], ids=["record", "outcome", "goal atom", "P' clause"])
+    def test_immutable_and_hashable(self, value):
+        for name in type(value)._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+        assert hash(value) == hash(type(value)(*value))
+
+    def test_field_names_and_order(self):
+        assert StepRecord._fields == (
+            "step", "case", "selected", "component", "goal", "ev", "iv", "pv",
+            "performed", "ev_added", "ev_removed", "iv_added", "iv_removed",
+            "pv_added",
+        )
+        assert ComponentOutcome._fields == ("index", "origin", "atom", "status", "failure")
+
+    def test_trace_dict(self):
+        join, _, perform = self.RESULT.records
+        assert join.trace_dict("A") == {
+            "step": 1, "case": "iv", "agent": "A", "selected": "e",
+            "component": 0, "ev": [], "iv": [], "pv": ["e"], "performed": None,
+        }
+        assert perform.trace_dict("A") == {
+            "step": 3, "case": "ii", "agent": "A", "selected": "x",
+            "component": 0, "ev": [], "iv": [], "pv": ["e"], "performed": "x",
+        }
+        assert tuple(join.trace_dict("A")) == TRACE_FIELDS

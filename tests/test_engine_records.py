@@ -91,8 +91,8 @@ RUNS = runs()
 
 def record_lines(program, query, inbox) -> list[str]:
     result = run_agent(program, query=query, inbox=inbox)
-    lines = [{"record": dataclasses.asdict(r)} for r in result.records]
-    lines += [{"outcome": dataclasses.asdict(o)} for o in result.outcomes]
+    lines = [{"record": r._asdict()} for r in result.records]
+    lines += [{"outcome": o._asdict()} for o in result.outcomes]
     lines.append({"truncated": result.truncated,
                   "query_succeeded": result.query_succeeded})
     return [json.dumps(line) for line in lines]

@@ -180,6 +180,16 @@ class TestEventScripts:
         assert [e.tick for e in s.after(-1)] == [0, 0, 4, 4, 9]
         assert [e.tick for e in s.after(5)] == [9]
 
+    def test_next_tick(self):
+        s = parse_event_script("0 A x\n0 A y\n4 A z\n4 A w\n9 A v\n")
+        assert [s.next_tick(t) for t in range(-1, 11)] == [
+            0, 0, 4, 4, 4, 4, 9, 9, 9, 9, 9, None,
+        ]
+        for t in range(-1, 11):
+            rest = s.after(t - 1)
+            assert s.next_tick(t) == (rest[0].tick if rest else None)
+        assert EventScript().next_tick(0) is None
+
     def test_entries_must_be_ordered_by_tick(self):
         s = parse_event_script("0 A x\n4 A z\n")
         with pytest.raises(ValueError, match="ordered by tick"):
