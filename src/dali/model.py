@@ -230,6 +230,21 @@ def _validate(p: AgentProgram) -> ValidationReport:
     for name in sorted(ext & act):
         err(None, "role-conflict", f"'{name}' declared both external and action")
 
+    # The transformed program names past(E) `past_E` and now(E) `now_E`,
+    # so no atom may take either name.  A reactive or action head, or a
+    # marked atom, with such a name must be declared to pass the other
+    # rules, and is reported with its declaration; ordinary heads and
+    # plain body atoms are checked clause by clause below.
+    reserved = {"past_" + e for e in events}
+    reserved.update("now_" + e for e in ext)
+
+    def reserved_name(idx, name):
+        marked = f"past({name[5:]})" if name.startswith("past_") else f"now({name[4:]})"
+        err(idx, "reserved-name", f"atom name '{name}' is reserved for {marked}")
+
+    for name in sorted((reserved & events) | (reserved & act)):
+        reserved_name(None, name)
+
     reactive_seen: set[str] = set()
     action_seen: set[str] = set()
 
@@ -287,6 +302,8 @@ def _validate(p: AgentProgram) -> ValidationReport:
                     "action-ordinary-head",
                     f"ordinary rule defines action '{h}'; use an action rule",
                 )
+            if h in reserved:
+                reserved_name(i, h)
 
         for a in c.body:
             if a.marker == PLAIN and a.name in ext:
@@ -309,6 +326,8 @@ def _validate(p: AgentProgram) -> ValidationReport:
                     "bad-past-marker",
                     f"past({a.name}) requires '{a.name}' to be a declared event",
                 )
+            elif a.marker == PLAIN and a.name in reserved:
+                reserved_name(i, a.name)
 
     for e in p.externals:
         if p.reactive_clause(e.name) is None:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DaliConfigError
-from .model import ACTION, PAST, PRESENT, REACTIVE, AgentProgram, Atom
+from .model import ACTION, PAST, PLAIN, PRESENT, REACTIVE, AgentProgram, Atom
 
 # Provenance labels for transformed clauses.
 RULE_ORDINARY = "ordinary"
@@ -45,13 +45,9 @@ RULE_ACTION = "action-transform"
 RULE_INIT = "initial-event"
 
 
-def mangle(atom: Atom) -> str:
-    """Name of an atom in the extended alphabet of P'."""
-    if atom.marker == PAST:
-        return f"past_{atom.name}"
-    if atom.marker == PRESENT:
-        return f"now_{atom.name}"
-    return atom.name
+# The prefix that names a marked atom in the extended alphabet of P'
+# (`past(e)` is `past_e`, `now(e)` is `now_e`).
+_PREFIX = {PLAIN: "", PAST: "past_", PRESENT: "now_"}
 
 
 class TransformedClause(NamedTuple):
@@ -108,21 +104,22 @@ class InitialSituation:
         return self
 
 
-def _dedupe_names(names: Iterable[str]) -> tuple[str, ...]:
-    seen: dict[str, None] = {}
-    for n in names:
-        seen.setdefault(n)
-    return tuple(seen)
-
-
 def transform_program(
     p: AgentProgram, init: InitialSituation | Iterable[Atom] = ()
 ) -> TransformedProgram:
-    """Build P' from a validated agent program and an initial situation."""
+    """Build P' from a validated agent program and an initial situation.
+
+    One pass over the clauses builds each clause of P' once, in program
+    order: body atoms take their marker's prefix as they are read, and
+    only a body that holds an action is scanned for derivation clauses.
+    Validation keeps the prefixed names apart from the program's own: no
+    atom is named `past_E` for a declared event E, nor `now_E` for a
+    declared external event E."""
     if not isinstance(init, InitialSituation):
         init = InitialSituation(tuple(init))
     init.validated(p)
     action_names = p.action_names
+    prefix = _PREFIX
 
     # Action rules yield no clause of their own: their bodies become the
     # preconditions of the derivation clauses below.
@@ -130,33 +127,39 @@ def transform_program(
     for name in action_names:
         rule = p.action_clause(name)
         if rule is not None:
-            preconditions[name] = tuple(mangle(a) for a in rule.body)
+            preconditions[name] = tuple([prefix[a.marker] + a.name for a in rule.body])
 
     # Reactive rules become guarded pairs and ordinary clauses pass
     # through with markers renamed.  Right after them come the derivation
     # clauses, one per action atom in the body of the ordinary clause or
     # of the pair's first half; the past half is not scanned, since
     # anything it could generate is subsumed by the first half's.
+    # `tuple.__new__` skips the named tuple's Python-level constructor.
+    new, cls = tuple.__new__, TransformedClause
     out: list[TransformedClause] = []
+    append = out.append
     for idx, c in enumerate(p.clauses):
-        if c.kind == ACTION:
+        kind = c.kind
+        if kind == ACTION:
             continue
         head = c.head.name
-        if c.kind == REACTIVE:
-            body = (head,) + tuple(mangle(a) for a in c.body)
-            out.append(TransformedClause(head, body, RULE_REACTIVE, idx))
-            out.append(TransformedClause(f"past_{head}", body, RULE_PAST, idx))
+        body = tuple([prefix[a.marker] + a.name for a in c.body]) if c.body else ()
+        if kind == REACTIVE:
+            body = (head, *body)
+            append(new(cls, (head, body, RULE_REACTIVE, idx)))
+            append(new(cls, ("past_" + head, body, RULE_PAST, idx)))
         else:
-            body = tuple(mangle(a) for a in c.body)
-            out.append(TransformedClause(head, body, RULE_ORDINARY, idx))
-        non_actions = tuple(a for a in body if a not in action_names)
+            append(new(cls, (head, body, RULE_ORDINARY, idx)))
+        if action_names.isdisjoint(body):
+            continue
+        non_actions = [a for a in body if a not in action_names]
         for a in body:
             if a in action_names:
-                derived = _dedupe_names((head,) + non_actions + preconditions.get(a, ()))
-                out.append(TransformedClause(a, derived, RULE_ACTION, idx))
+                derived = dict.fromkeys([head, *non_actions, *preconditions.get(a, ())])
+                append(new(cls, (a, tuple(derived), RULE_ACTION, idx)))
 
     for name in unit_names(init.events, p.external_names):
-        out.append(TransformedClause(name, (), RULE_INIT))
+        append(new(cls, (name, (), RULE_INIT, None)))
     return TransformedProgram(p.name, tuple(out))
 
 
@@ -180,25 +183,36 @@ class HornRules:
     (Dowling & Gallier, 1984): the clauses, the number of distinct body
     atoms of each, the clauses that watch each atom, and the heads of
     bodyless clauses.  Compiled once, it gives the least model of itself
-    plus any set of seed facts, in time linear in the program and seeds."""
+    plus any set of seed facts, in time linear in the program and seeds.
+
+    The clauses are `(head, body, ...)` sequences read by position, so
+    the clauses of a `TransformedProgram` are compiled as they are; any
+    other iterable of `(head, body)` pairs is read once.  Only a body of
+    two or more atoms goes through a set, to count its distinct atoms."""
 
     __slots__ = ("_clauses", "_counts", "_watchers", "_facts")
 
     def __init__(self, clauses: TransformedProgram | HornClauses):
         if isinstance(clauses, TransformedProgram):
-            clauses = clauses.pairs()
+            clauses = clauses.clauses
         else:
             clauses = tuple(clauses)
         counts: list[int] = []
         watchers: dict[str, list[int]] = defaultdict(list)
         facts: list[str] = []
-        for i, (head, body) in enumerate(clauses):
-            unsat = set(body)
-            counts.append(len(unsat))
-            if not unsat:
-                facts.append(head)
-            for b in unsat:
-                watchers[b].append(i)
+        for i, clause in enumerate(clauses):
+            body = clause[1]
+            if len(body) > 1:
+                unsat = set(body)
+                counts.append(len(unsat))
+                for b in unsat:
+                    watchers[b].append(i)
+            elif body:
+                counts.append(1)
+                watchers[body[0]].append(i)
+            else:
+                counts.append(0)
+                facts.append(clause[0])
         self._clauses = clauses
         self._counts = counts
         self._watchers = watchers

@@ -152,6 +152,19 @@ class TestValidationDiagnostics:
         assert code == 3
         assert "reactive" in err
 
+    @pytest.mark.parametrize("command", ["model", "query", "transform"])
+    def test_reserved_name_exits_3(self, capsys, tmp_path, command):
+        # Accepted, the fact past_x would stand for past(x) in the model
+        # (y in `dali model`) while the interpreter answers `no.` for y.
+        bad = tmp_path / "bad.dali"
+        bad.write_text("agent A. @external x. @action go. past_x. y :- past(x). x :> go.\n")
+        argv = [command, str(bad)] + (["y"] if command == "query" else [])
+        assert run_cli(capsys, *argv) == (
+            3,
+            "",
+            f"{bad}: atom name 'past_x' is reserved for past(x) (clause 0)\n",
+        )
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "model", str(tmp_path / "nope.dali"))
         assert code == 3

@@ -151,6 +151,36 @@ class TestValidation:
         )
         assert ids(validate_program(p).errors).count("role-conflict") == 2
 
+    def test_reserved_names_are_rejected(self):
+        # `past_x` and `now_x` are the names P' gives past(x) and now(x).
+        p = AgentProgram(
+            "A",
+            (
+                Clause(Atom("past_x")),
+                Clause(Atom("y"), (Atom("now_x"), Atom.past("x"))),
+                Clause(Atom("x"), (Atom("go"),), REACTIVE),
+            ),
+            externals=(Atom("x"),),
+            internals=(Atom("past_i"), Atom("i")),
+            actions=(Atom("go"), Atom("now_x")),
+        )
+        errors = [e for e in validate_program(p).errors if e.rule == "reserved-name"]
+        assert [(e.clause_index, e.message) for e in errors] == [
+            (None, "atom name 'now_x' is reserved for now(x)"),
+            (None, "atom name 'past_i' is reserved for past(i)"),
+            (0, "atom name 'past_x' is reserved for past(x)"),
+            (1, "atom name 'now_x' is reserved for now(x)"),
+        ]
+
+    def test_prefixed_names_of_other_atoms_are_allowed(self):
+        # past_y names no event, and now_i no external event.
+        p = AgentProgram(
+            "A",
+            (Clause(Atom("past_y")), Clause(Atom("now_i"), (Atom("past_y"),))),
+            internals=(Atom("i"),),
+        )
+        assert validate_program(p).ok
+
     def test_action_internal_dual_membership_allowed(self, scenario):
         assert validate_program(scenario("anne")).ok
 

@@ -1,9 +1,13 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dali import load_agent_file
 from dali.errors import DaliConfigError
 from dali.model import REACTIVE, AgentProgram, Atom, Clause
+from dali.oracle import naive_fixpoint
 from dali.parser import parse_agent_file
 from dali.semantics import (
     RULE_ACTION,
@@ -11,6 +15,7 @@ from dali.semantics import (
     RULE_ORDINARY,
     RULE_PAST,
     RULE_REACTIVE,
+    HornRules,
     InitialSituation,
     least_model,
     render_transformed,
@@ -18,6 +23,9 @@ from dali.semantics import (
     snapshot,
     transform_program,
 )
+
+
+DATA = Path(__file__).resolve().parent / "data" / "semantics"
 
 
 def clause_strings(tp):
@@ -123,6 +131,16 @@ class TestTransform:
         reparsed = parse_agent_file(text)
         assert len(reparsed.clauses) == 5
 
+    def test_every_branch_matches_the_pinned_program(self):
+        # branches.dali holds every kind of clause the transform treats
+        # differently.  Regenerate the pinned P' only when a change of it
+        # is intended: dali transform tests/data/semantics/branches.dali
+        # --init 'e1,i1,past(e2)'
+        program = load_agent_file(DATA / "branches.dali")
+        init = [Atom("e1"), Atom("i1"), Atom.past("e2")]
+        expected = (DATA / "branches.transform.out").read_text(encoding="utf-8")
+        assert render_transformed(transform_program(program, init)) == expected
+
 
 class TestRestrict:
     def test_keep_everything_is_identity(self, scenario):
@@ -196,6 +214,50 @@ def test_least_model_is_a_fixpoint(clauses):
     model = least_model(clauses)
     step = {h for h, body in clauses if all(b in model for b in body)}
     assert step <= model
+
+
+# -- compiled rules against the brute-force fixpoint -----------------------
+
+
+@settings(max_examples=150)
+@given(horn, st.lists(st.sets(names, max_size=4), min_size=1, max_size=4))
+def test_compiled_rules_match_naive_fixpoint_for_each_seed_set(clauses, seed_sets):
+    # One compilation serves every seed set, as in evolve_system.
+    rules = HornRules(clauses)
+    for seeds in seed_sets:
+        expected = naive_fixpoint(clauses + [(s, ()) for s in seeds])
+        assert rules.closure(seeds) == expected
+
+
+class TestHornRules:
+    def test_duplicate_body_atoms_count_once(self):
+        rules = HornRules([("p", ("q", "q"))])
+        assert rules.closure() == frozenset()
+        assert rules.closure(["q"]) == {"p", "q"}
+
+    def test_head_in_its_own_body(self):
+        rules = HornRules([("p", ("p", "q")), ("r", ("r",))])
+        assert rules.closure(["q"]) == {"q"}
+        assert rules.closure(["p", "q"]) == {"p", "q"}
+        assert rules.closure(["r"]) == {"r"}
+
+    def test_one_shot_generator_input(self):
+        pairs = [("p", ()), ("q", ("p",)), ("r", ("q", "s"))]
+        rules = HornRules(pair for pair in pairs)
+        assert rules.closure() == {"p", "q"}
+        # compiled once: a second closure sees the same clauses
+        assert rules.closure(["s"]) == {"p", "q", "r", "s"}
+
+    def test_seed_that_is_also_a_fact(self):
+        rules = HornRules([("p", ()), ("q", ("p",))])
+        assert rules.closure(["p"]) == {"p", "q"}
+        assert rules.closure(["p", "p"]) == {"p", "q"}
+
+    def test_transformed_program_and_its_pairs_compile_alike(self, scenario):
+        tp = transform_program(scenario("mary"), [Atom("alarm_clock_rings")])
+        seeds = ["past_my_god_its_late"]
+        assert HornRules(tp).closure(seeds) == HornRules(tp.pairs()).closure(seeds)
+        assert HornRules(tp).closure() == naive_fixpoint(tp)
 
 
 def test_initial_situation_rejects_present_markers(scenario):
