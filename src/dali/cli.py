@@ -220,7 +220,7 @@ def cmd_repl(args) -> int:
                 for _ in range(budget):
                     if engine.components[index].status != ACTIVE:
                         break
-                    if engine.step() is None:
+                    if runner.step_agent(rest[0]) is None:
                         break
                 print("yes." if engine.components[index].status == SUCCEEDED else "no.")
             else:

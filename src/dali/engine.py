@@ -228,22 +228,17 @@ class StepRecord(NamedTuple):
 class Engine:
     """Interpreter instance owning one agent's state.
 
-    Instances never share mutable state; inter-agent effects flow through
-    the on_action callback, called with the atom of each performed action.
+    Instances never share mutable state.  A step performs at most one
+    action, named by its record's `performed`; the step records are the
+    engine's only output, and the runtime routes actions from them.
     """
 
-    def __init__(
-        self,
-        program: AgentProgram,
-        strategy: Strategy | None = None,
-        on_action=None,
-    ):
+    def __init__(self, program: AgentProgram, strategy: Strategy | None = None):
         report = validate_program(program)
         if not report.ok:
             raise DaliValidationError(program.name, report)
         self.program = program
         self.strategy = strategy or Strategy()
-        self.on_action = on_action
         self.state = AgentState()
         self.components: list[Component] = []
         self.records: list[StepRecord] = []
@@ -584,8 +579,6 @@ class Engine:
 
     def _perform(self, atom: Atom) -> tuple[str, ...]:
         self.state.performed.append(atom)
-        if self.on_action is not None:
-            self.on_action(atom)
         if atom.name in self._int_names:
             return self._record_internal(atom)
         return ()

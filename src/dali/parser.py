@@ -215,7 +215,7 @@ _TICK = attrgetter("tick")
 class EventScript:
     """Timed external-event injections, ordered by tick.
 
-    The order lets `due`, `after` and `next_tick` find their entries by
+    The order lets `due` and `next_tick` find their entries by
     bisection, so a lookup costs O(log n) plus the entries it returns.
     """
 
@@ -229,9 +229,6 @@ class EventScript:
         entries = self.entries
         start = bisect_left(entries, tick, key=_TICK)
         return entries[start : bisect_right(entries, tick, lo=start, key=_TICK)]
-
-    def after(self, tick: int) -> tuple[ScriptEntry, ...]:
-        return self.entries[bisect_right(self.entries, tick, key=_TICK) :]
 
     def next_tick(self, tick: int) -> int | None:
         """The first tick at or after `tick` with an entry, or None."""

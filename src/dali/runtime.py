@@ -5,11 +5,13 @@ action performed by one agent at tick t becomes an external event in
 every *other* agent's inbox at tick t+1 (never its own), routed through
 a channel mapping that defaults to the identity: the action atom's name
 must be a declared external event of the consumer, otherwise the
-delivery is dropped with a warning.  Each (producer, action) pair is
-routed once, on first use, from the agents that declare each external
-event and the mapping's entries for the pair; after that, a delivery
-visits only the consumers that receive it.  `load_system_config`
-validates each agent program, and `Engine` reuses the report kept on it.
+delivery is dropped with a warning.  Actions are routed from the step
+records, whose `performed` names each one; an engine has no other
+output.  Each (producer, action) pair is routed once, on first use,
+from the agents that declare each external event and the mapping's
+entries for the pair; after that, a delivery visits only the consumers
+that receive it.  `load_system_config` validates each agent program,
+and `Engine` reuses the report kept on it.
 
 The same broadcast rule drives `evolve_system`, which iterates snapshot
 models instead of the interpreter.  It compiles each agent's P' rules
@@ -256,57 +258,38 @@ class SystemResult:
 
 
 class SystemRunner:
-    """Shared tick loop for `run` and the step-granular REPL."""
+    """Shared tick loop for `run` and the step-granular REPL.  The routes
+    of a tick's actions wait in the outbox for the next tick;
+    `step_agent` delivers them at once."""
 
     def __init__(self, config: SystemConfig):
         self.config = config
         self.tick = 0
         self.trace: list[tuple[str, StepRecord]] = []
         self._broadcast = _Broadcast(config, "action")
-        self._deliveries: dict[int, list[tuple[str, Atom]]] = {}
-        self._actions: list[tuple[str, Atom]] = []  # performed since last drain
-        self.engines: dict[str, Engine] = {}
-        for name, program in config.agents.items():
-            self.engines[name] = Engine(
-                program,
-                on_action=lambda atom, producer=name: self._actions.append(
-                    (producer, atom)
-                ),
-            )
+        self._outbox: list[tuple[str, Atom]] = []  # (consumer, event) due next tick
+        self.engines = {name: Engine(program) for name, program in config.agents.items()}
         self._micro_order: list[str] = list(self.engines)
         self._micro_idx = 0
 
-    # -- broadcast ---------------------------------------------------------
-
-    def _route(self, producer: str, atom: Atom, due_tick: int, immediate: bool):
-        route = self._broadcast.route(producer, atom.name)
-        if immediate:
-            for consumer, event in route:
-                self.engines[consumer].inject(event)
-        elif route:
-            self._deliveries.setdefault(due_tick, []).extend(route)
-
-    def _drain_actions(self, immediate: bool = False):
-        actions, self._actions = self._actions, []
-        for producer, atom in actions:
-            self._route(producer, atom, self.tick + 1, immediate)
-
     # -- tick loop -----------------------------------------------------------
 
-    def _inject_due(self):
-        for entry in self.config.script.due(self.tick):
-            self.engines[entry.agent].inject(entry.event)
-        for consumer, atom in self._deliveries.pop(self.tick, ()):
-            self.engines[consumer].inject(atom)
-
     def run_tick(self) -> None:
-        """Inject everything due, give each agent its step budget, then
-        queue this tick's actions for delivery at the next tick."""
-        self._inject_due()
-        for name, engine in self.engines.items():
+        """Inject the script's due entries, then the previous tick's
+        deliveries; give each agent its step budget, queueing the routes
+        of the actions it performs for the next tick."""
+        engines = self.engines
+        for entry in self.config.script.due(self.tick):
+            engines[entry.agent].inject(entry.event)
+        deliveries, self._outbox = self._outbox, []
+        for consumer, event in deliveries:
+            engines[consumer].inject(event)
+        route, outbox, trace = self._broadcast.route, self._outbox, self.trace
+        for name, engine in engines.items():
             for rec in engine.run(self.config.budget):
-                self.trace.append((name, rec))
-        self._drain_actions(immediate=False)
+                trace.append((name, rec))
+                if rec.performed is not None:
+                    outbox.extend(route(name, rec.performed))
         self.tick += 1
 
     def run(self) -> SystemResult:
@@ -315,10 +298,8 @@ class SystemRunner:
         limit = self.config.max_ticks
         while True:
             upcoming = self.config.script.next_tick(self.tick)
-            idle = not self._deliveries and all(
-                e.quiescent for e in self.engines.values()
-            )
-            quiescent = idle and upcoming is None and not self._actions
+            idle = not self._outbox and all(e.quiescent for e in self.engines.values())
+            quiescent = idle and upcoming is None
             if quiescent or self.tick >= limit:
                 break
             if idle and upcoming is not None and upcoming > self.tick:
@@ -340,17 +321,25 @@ class SystemRunner:
             raise DaliConfigError(f"unknown agent '{agent}'")
         self.engines[agent].inject(event)
 
+    def step_agent(self, name: str) -> StepRecord | None:
+        """One interpreter step of agent `name`, appended to the trace; an
+        action it performs reaches the other agents at once."""
+        rec = self.engines[name].step()
+        if rec is not None:
+            self.trace.append((name, rec))
+            if rec.performed is not None:
+                for consumer, event in self._broadcast.route(name, rec.performed):
+                    self.engines[consumer].inject(event)
+        return rec
+
     def micro_step(self) -> tuple[str, StepRecord] | None:
-        """Advance one interpreter step of the next non-quiescent agent,
-        delivering any performed action to the other agents immediately."""
+        """`step_agent` on the next non-quiescent agent, round-robin."""
         n = len(self._micro_order)
         for i in range(n):
             name = self._micro_order[(self._micro_idx + i) % n]
-            rec = self.engines[name].step()
+            rec = self.step_agent(name)
             if rec is not None:
                 self._micro_idx = (self._micro_idx + i + 1) % n
-                self.trace.append((name, rec))
-                self._drain_actions(immediate=True)
                 return name, rec
         return None
 

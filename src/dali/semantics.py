@@ -11,12 +11,14 @@ extended alphabet {base atoms} + {past_E} + {now_E}:
     firing records the corresponding past event;
 
   * for every action A and every clause `B :- D1,..,Dh, ..A..` that
-    performs it, a clause
+    performs it (`B :> ..` for a reactive rule), one clause
         A :- B, D1, .., Dh, C1, .., Cs.
     is added, where C1..Cs are the preconditions from A's action rule
-    (empty if A has none) and D1..Dh are the non-action body atoms.  The
-    action rule itself is removed: A becomes derivable exactly when some
-    rule actually performs it and its preconditions hold;
+    (empty if A has none) and D1..Dh are the non-action body atoms; it
+    is left out when A is among them or is B, since it could never
+    derive A.  The action rule itself is removed: A becomes derivable
+    exactly when some rule actually performs it and its preconditions
+    hold;
 
   * events true at the start contribute unit clauses (`E.` plus `now_E.`
     for externals, `E.` for internals, `past_E.` for past events).
@@ -131,9 +133,8 @@ def transform_program(
 
     # Reactive rules become guarded pairs and ordinary clauses pass
     # through with markers renamed.  Right after them come the derivation
-    # clauses, one per action atom in the body of the ordinary clause or
-    # of the pair's first half; the past half is not scanned, since
-    # anything it could generate is subsumed by the first half's.
+    # clauses, one per distinct action atom of the clause's own body (not
+    # of a reactive guard), left out when its head is in its body.
     # `tuple.__new__` skips the named tuple's Python-level constructor.
     new, cls = tuple.__new__, TransformedClause
     out: list[TransformedClause] = []
@@ -145,18 +146,21 @@ def transform_program(
         head = c.head.name
         body = tuple([prefix[a.marker] + a.name for a in c.body]) if c.body else ()
         if kind == REACTIVE:
-            body = (head, *body)
-            append(new(cls, (head, body, RULE_REACTIVE, idx)))
-            append(new(cls, ("past_" + head, body, RULE_PAST, idx)))
+            guarded = (head, *body)
+            append(new(cls, (head, guarded, RULE_REACTIVE, idx)))
+            append(new(cls, ("past_" + head, guarded, RULE_PAST, idx)))
         else:
             append(new(cls, (head, body, RULE_ORDINARY, idx)))
         if action_names.isdisjoint(body):
             continue
         non_actions = [a for a in body if a not in action_names]
-        for a in body:
+        # A body that performs one action needs no dict to drop repeats.
+        once = len(non_actions) == len(body) - 1
+        for a in body if once else dict.fromkeys(body):
             if a in action_names:
                 derived = dict.fromkeys([head, *non_actions, *preconditions.get(a, ())])
-                append(new(cls, (a, tuple(derived), RULE_ACTION, idx)))
+                if a not in derived:
+                    append(new(cls, (a, tuple(derived), RULE_ACTION, idx)))
 
     for name in unit_names(init.events, p.external_names):
         append(new(cls, (name, (), RULE_INIT, None)))

@@ -1,7 +1,9 @@
 """The `dali` command line.
 
 `TestPinnedOutputs` compares `dali transform` and `dali model` on every
-`scenarios/*.dali` with the output stored under `tests/data/cli/`.
+`scenarios/*.dali` with the output stored under `tests/data/cli/`, and
+`TestPinnedReplSessions` does the same for a `dali repl` session on every
+`scenarios/*.system` (its input is stored beside its output).
 Regenerate those files (only when a change of behaviour is intended):
 
     PYTHONPATH=src python tests/test_cli.py
@@ -11,6 +13,7 @@ import errno
 import io
 import json
 import os
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -18,6 +21,7 @@ import pytest
 
 from dali.cli import main
 from dali.engine import TRACE_FIELDS
+from dali.runtime import load_system_config
 
 ROOT = Path(__file__).resolve().parents[1]
 CLI_DATA = Path(__file__).resolve().parent / "data" / "cli"
@@ -26,6 +30,7 @@ PINNED = [
     for path in sorted((ROOT / "scenarios").glob("*.dali"))
     for command in ("transform", "model")
 ]
+REPL_SESSIONS = [path.stem for path in sorted((ROOT / "scenarios").glob("*.system"))]
 
 
 def run_cli(capsys, *argv):
@@ -34,17 +39,38 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def pinned_run(name: str, command: str) -> tuple[int, str, str]:
-    """`dali COMMAND scenarios/NAME.dali` run from the repository root."""
+def pinned_run(name: str, command: str, path: str | None = None) -> tuple[int, str, str]:
+    """`dali COMMAND scenarios/NAME.dali` (or PATH) run from the repository root."""
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(ROOT)
     try:
         with redirect_stdout(out), redirect_stderr(err):
-            code = main([command, f"scenarios/{name}.dali"])
+            code = main([command, path or f"scenarios/{name}.dali"])
     finally:
         os.chdir(cwd)
     return code, out.getvalue(), err.getvalue()
+
+
+def repl_session_input(name: str) -> str:
+    """Inject every script event of `scenarios/NAME.system` at once, run
+    200 steps, then print the state of every agent."""
+    config = load_system_config(ROOT / "scenarios" / f"{name}.system")
+    lines = [f"inject {e.agent} {e.event}" for e in config.script.entries]
+    lines.append("step 200")
+    lines += [f"state {agent}" for agent in config.agents]
+    lines.append("quit")
+    return "\n".join(lines) + "\n"
+
+
+def pinned_repl(name: str, session: str) -> tuple[int, str, str]:
+    """`dali repl scenarios/NAME.system` fed `session`, from the repository root."""
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(session)
+    try:
+        return pinned_run(name, "repl", f"scenarios/{name}.system")
+    finally:
+        sys.stdin = stdin
 
 
 class TestPinnedOutputs:
@@ -55,6 +81,15 @@ class TestPinnedOutputs:
         err = err_file.read_text(encoding="utf-8") if err_file.exists() else ""
         out = stem.with_name(stem.name + ".out").read_text(encoding="utf-8")
         assert pinned_run(name, command) == (0, out, err)
+
+
+class TestPinnedReplSessions:
+    @pytest.mark.parametrize("name", REPL_SESSIONS)
+    def test_matches_the_stored_session(self, name):
+        session = (CLI_DATA / f"{name}.repl.in").read_text(encoding="utf-8")
+        assert session == repl_session_input(name)
+        out = (CLI_DATA / f"{name}.repl.out").read_text(encoding="utf-8")
+        assert pinned_repl(name, session) == (0, out, "")
 
 
 class TestModel:
@@ -463,6 +498,29 @@ class TestRepl:
         assert code == 0
         assert "yes." in out
 
+    def test_query_delivers_the_actions_it_performs(
+        self, capsys, monkeypatch, tmp_path, scenario_dir
+    ):
+        (tmp_path / "p.dali").write_text("agent P. @action ping.\n")
+        (tmp_path / "consumer.dali").write_text(
+            (scenario_dir / "consumer.dali").read_text(encoding="utf-8")
+        )
+        cfg = tmp_path / "sys.system"
+        cfg.write_text("agent p.dali\nagent consumer.dali\n")
+        monkeypatch.setattr(
+            "sys.stdin",
+            io.StringIO("query P ping\nstate Consumer\nstep 5\nstate Consumer\nquit\n"),
+        )
+        code, out, err = run_cli(capsys, "repl", str(cfg))
+        assert (code, err) == (0, "")
+        assert out.split("dali> ")[1:] == [
+            "yes.\n",
+            "ev: [ping]\niv: []\npv: []\nperformed: []\n",
+            "advanced 3 step(s); system quiescent\n",
+            "ev: []\niv: []\npv: [ping]\nperformed: [log_it]\n",
+            "",
+        ]
+
     def test_marked_inject_is_an_error_and_keeps_session_open(
         self, capsys, monkeypatch, scenario_dir
     ):
@@ -570,6 +628,12 @@ def write_pinned() -> None:
         (CLI_DATA / f"{name}.{command}.out").write_text(out, encoding="utf-8")
         if err:
             (CLI_DATA / f"{name}.{command}.err").write_text(err, encoding="utf-8")
+    for name in REPL_SESSIONS:
+        session = repl_session_input(name)
+        code, out, err = pinned_repl(name, session)
+        assert code == 0 and not err, (name, err)
+        (CLI_DATA / f"{name}.repl.in").write_text(session, encoding="utf-8")
+        (CLI_DATA / f"{name}.repl.out").write_text(out, encoding="utf-8")
 
 
 if __name__ == "__main__":

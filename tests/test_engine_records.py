@@ -8,8 +8,9 @@ outcomes must match the JSONL file stored under `tests/data/engine/`.
 After every step of the same runs, the engine's live state must equal
 what a scan of the whole run gives: the active list, the running
 attempts, the EV, IV and PV name tuples the records share, the set of PV
-names, and the goal text of every component and of every choice point,
-including right after a backtrack.
+names, the performed actions the records name, and the goal text of
+every component and of every choice point, including right after a
+backtrack.
 
 Regenerate the files (only when a change of behaviour is intended):
 
@@ -131,6 +132,10 @@ def check_live_state(engine: Engine) -> None:
     assert engine._ev_names == tuple(a.name for a in st.ev.values())
     assert engine._iv_names == tuple(a.name for a in st.iv.values())
     assert engine._pv_names == tuple(sorted(st.pv))
+    # The runtime routes actions from the records, so they must name
+    # every performed action, in order.
+    performed = [r.performed for r in engine.records if r.performed is not None]
+    assert performed == list(st.performed_names())
     if engine.records:
         last = engine.records[-1]
         assert last.ev is engine._ev_names

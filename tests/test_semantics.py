@@ -6,7 +6,15 @@ from hypothesis import strategies as st
 
 from dali import load_agent_file
 from dali.errors import DaliConfigError
-from dali.model import REACTIVE, AgentProgram, Atom, Clause
+from dali.model import (
+    ACTION,
+    ORDINARY,
+    REACTIVE,
+    AgentProgram,
+    Atom,
+    Clause,
+    validate_program,
+)
 from dali.oracle import naive_fixpoint
 from dali.parser import parse_agent_file
 from dali.semantics import (
@@ -214,6 +222,59 @@ def test_least_model_is_a_fixpoint(clauses):
     model = least_model(clauses)
     step = {h for h, body in clauses if all(b in model for b in body)}
     assert step <= model
+
+
+# -- shape of P' on generated agents -----------------------------------------
+
+
+@st.composite
+def agent_programs(draw):
+    """Valid agents whose roles overlap: `a` is an internal event and an
+    action, so a reactive guard can name an action; bodies may repeat
+    atoms and perform an action more than once."""
+    externals = sorted(draw(st.sets(st.sampled_from(["e", "f"]))))
+    events = externals + ["i", "a"]
+    atoms = (
+        [Atom(n) for n in ("i", "a", "b", "p", "q")]
+        + [Atom.past(e) for e in events]
+        + [Atom.now(e) for e in externals]
+    )
+
+    def bodies(min_size):
+        return st.lists(st.sampled_from(atoms), min_size=min_size, max_size=4).map(tuple)
+
+    reactive = draw(st.dictionaries(st.sampled_from(events), bodies(1)))
+    action = draw(st.dictionaries(st.sampled_from(["a", "b"]), bodies(1)))
+    ordinary = draw(
+        st.lists(st.tuples(st.sampled_from(["i", "p", "q"]), bodies(0)), max_size=4)
+    )
+    clauses = [
+        *(Clause(Atom(h), b, REACTIVE) for h, b in reactive.items()),
+        *(Clause(Atom(h), b, ACTION) for h, b in action.items()),
+        *(Clause(Atom(h), b, ORDINARY) for h, b in ordinary),
+    ]
+    order = draw(st.permutations(range(len(clauses))))
+    program = AgentProgram(
+        "Gen",
+        tuple(clauses[i] for i in order),
+        externals=tuple(map(Atom, externals)),
+        internals=(Atom("i"), Atom("a")),
+        actions=(Atom("a"), Atom("b")),
+    )
+    assert validate_program(program).ok
+    return program
+
+
+@settings(max_examples=150)
+@given(agent_programs())
+def test_transform_repeats_no_clause_and_derives_no_action_from_itself(program):
+    # A clause of P' is one (head, body, rule, source) tuple, so two equal
+    # ones came from the same source clause.
+    clauses = transform_program(program).clauses
+    assert len(set(clauses)) == len(clauses)
+    for c in clauses:
+        if c.rule == RULE_ACTION:
+            assert c.head not in c.body, c
 
 
 # -- compiled rules against the brute-force fixpoint -----------------------
