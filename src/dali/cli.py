@@ -54,6 +54,11 @@ def _load_validated(path):
     return program
 
 
+def _warn(warnings) -> None:
+    for w in warnings:
+        print(f"warning: {w}", file=sys.stderr)
+
+
 def _positive_int(text: str, what: str) -> int:
     try:
         value = int(text)
@@ -103,8 +108,7 @@ def cmd_run(args) -> int:
     # Open the trace file before the run, so a bad path fails at once.
     with _open_trace(args.trace) if args.trace else nullcontext() as fh:
         result = runner.run()
-        for w in result.warnings:
-            print(f"warning: {w}", file=sys.stderr)
+        _warn(result.warnings)
         if fh is not None:
             for agent, rec in result.trace:
                 fh.write(json.dumps(rec.trace_dict(agent), separators=(",", ":")))
@@ -172,6 +176,7 @@ def cmd_repl(args) -> int:
     budget = _env_max_steps(1000)
     runner = SystemRunner(config)
     print(f"agents: {', '.join(runner.engines)}  (inject/step/state/query/quit)")
+    warned = 0  # runner.warnings() printed so far
     while True:
         try:
             sys.stdout.write("dali> ")
@@ -228,6 +233,9 @@ def cmd_repl(args) -> int:
                       "state <agent> | query <agent> <atom> | quit")
         except DaliError as exc:
             print(f"error: {exc}")
+        warnings = runner.warnings()
+        _warn(warnings[warned:])
+        warned = len(warnings)
 
 
 def build_parser() -> argparse.ArgumentParser:

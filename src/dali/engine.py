@@ -61,7 +61,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .errors import DaliValidationError
@@ -75,7 +75,7 @@ from .model import (
     Clause,
     validate_program,
 )
-from .parser import ScriptEntry, parse_atom_text
+from .parser import as_atom
 
 # Component origins.
 QUERY = "query"
@@ -253,8 +253,9 @@ class Engine:
         self._pending: list[_Region] = []  # subproofs awaiting a completion record
         self._rr = 0
         self._attempt_cursor = 0
-        self._last_attempt: dict[str, int] = {}
-        self._version = 0  # bumped on event traffic; gates re-attempts
+        # Internal events attempted since the last arrival or join: each
+        # waits for new event traffic before it is attempted again.
+        self._tried: set[str] = set()
         self._int_names = program.internal_names
         self._act_names = program.action_names
         # Per clause resolved with so far, keyed by identity (the program
@@ -266,9 +267,9 @@ class Engine:
     def inject(self, event: Atom | str) -> bool:
         """Deliver an external event, given unmarked.  Returns False if it
         was coalesced into an instance already pending."""
-        atom = parse_atom_text(event) if isinstance(event, str) else event
+        atom = as_atom(event)
         name = self.program.inbox_name(atom)
-        self._version += 1
+        self._tried.clear()
         ev = self.state.ev
         if name in ev:
             self.state.coalesced[name] = self.state.coalesced.get(name, 0) + 1
@@ -279,8 +280,7 @@ class Engine:
 
     def add_query(self, atom: Atom | str) -> int:
         """Add a user query as a new component; returns its index."""
-        a = parse_atom_text(atom) if isinstance(atom, str) else atom
-        return self._add_component(QUERY, a).index
+        return self._add_component(QUERY, as_atom(atom)).index
 
     # -- stepping ----------------------------------------------------------
 
@@ -300,14 +300,14 @@ class Engine:
         """Apply one transition; None means no step kind is applicable."""
         if self._pending:
             return self._completion_step()
-        n = len(self.records) + 1
-        internal_due = (n - 1) % self.strategy.internal_check_period == 0
-        external_due = (n - 1) % self.strategy.event_check_period == 0
+        n = len(self.records)
+        internal_due = n % self.strategy.internal_check_period == 0
+        external_due = n % self.strategy.event_check_period == 0
         if internal_due:
-            rec = self._internal_phase(n)
+            rec = self._internal_phase()
             if rec is not None:
                 return rec
-        rec = self._advance_components(n)
+        rec = self._advance_components()
         if rec is not None:
             return rec
         # Off-schedule work still runs rather than idling; the periods
@@ -315,11 +315,11 @@ class Engine:
         # due external join precedes an off-schedule internal phase.
         ev = self.state.ev
         if not internal_due and not (ev and external_due):
-            rec = self._internal_phase(n)
+            rec = self._internal_phase()
             if rec is not None:
                 return rec
         if ev:
-            return self._join(n, EXTERNAL_REACTION, "iv")
+            return self._join(EXTERNAL_REACTION, "iv")
         return None
 
     def run(self, max_steps: int = MAX_STEPS) -> list[StepRecord]:
@@ -340,7 +340,7 @@ class Engine:
     # -- the six step kinds -------------------------------------------------
 
     def _record(
-        self, n, case, selected, comp: Component, performed=None,
+        self, case, selected, comp: Component, performed=None,
         ev_removed=(), iv_added=(), iv_removed=(), pv_added=(),
     ) -> StepRecord:
         if self._ev_names is None:
@@ -349,27 +349,27 @@ class Engine:
             self._iv_names = tuple(self.state.iv)
         # Positional, in field order; no step adds to EV (`inject` does).
         rec = StepRecord(
-            n, case, selected, comp.index, comp.goal,
+            len(self.records) + 1, case, selected, comp.index, comp.goal,
             self._ev_names, self._iv_names, self._pv_names,
             performed, (), ev_removed, iv_added, iv_removed, pv_added,
         )
         self.records.append(rec)
         return rec
 
-    def _internal_phase(self, n) -> StepRecord | None:
+    def _internal_phase(self) -> StepRecord | None:
         if self.state.iv:
-            return self._join(n, INTERNAL_REACTION, "v")
+            return self._join(INTERNAL_REACTION, "v")
         pos = self._find_attempt()
         if pos is None:
             return None
         internals = self.program.internals
         atom = internals[pos]
         self._attempt_cursor = (pos + 1) % len(internals)
-        self._last_attempt[atom.name] = self._version
+        self._tried.add(atom.name)
         comp = self._add_component(INTERNAL_ATTEMPT, atom)
-        return self._record(n, "vi", atom.name, comp)
+        return self._record("vi", atom.name, comp)
 
-    def _join(self, n, origin, case) -> StepRecord:
+    def _join(self, origin, case) -> StepRecord:
         """Join the oldest event of EV (an external reaction) or IV as a
         new reaction component, moving it to PV."""
         st = self.state
@@ -390,10 +390,10 @@ class Engine:
             names = list(self._pv_names)
             insort(names, name)
             self._pv_names = tuple(names)
-        self._version += 1
+        self._tried.clear()
         comp = self._add_component(origin, event, reaction_pending=True)
         return self._record(
-            n, case, name, comp,
+            case, name, comp,
             ev_removed=ev_removed, iv_removed=iv_removed, pv_added=pv_added,
         )
 
@@ -404,7 +404,7 @@ class Engine:
         Pure internal events only: attempting a dual action/internal atom
         would perform the action unprompted.  An event is skipped while
         pending or already reacted to, while an attempt of it is running,
-        and when nothing changed since its last attempt.
+        and when no event arrived or joined since its last attempt.
         """
         internals = self.program.internals
         iv, pv = self.state.iv, self.state.pv
@@ -413,12 +413,12 @@ class Engine:
             name = internals[pos].name
             if name in self._act_names or name in iv or name in pv:
                 continue
-            if name in self._attempting or self._last_attempt.get(name) == self._version:
+            if name in self._attempting or name in self._tried:
                 continue
             return pos
         return None
 
-    def _advance_components(self, n) -> StepRecord | None:
+    def _advance_components(self) -> StepRecord | None:
         """One step of the first active component whose index is at
         least `_rr`, wrapping around; `_rr` then moves past it."""
         active = self._active
@@ -427,7 +427,7 @@ class Engine:
             if i == len(active):
                 i = 0
             comp = active[i]
-            rec = self._advance(comp, n)
+            rec = self._advance(comp)
             if rec is not None:
                 self._rr = (comp.index + 1) % len(self.components)
                 return rec
@@ -435,7 +435,7 @@ class Engine:
             # holds the next one; keep looking for other work.
         return None
 
-    def _advance(self, comp: Component, n) -> StepRecord | None:
+    def _advance(self, comp: Component) -> StepRecord | None:
         """One transition inside a component; on a failed branch, resume
         at the newest choice point.  None means the component just failed
         for good (choice points exhausted)."""
@@ -445,19 +445,19 @@ class Engine:
             if atom.name in self.state.ev:
                 selected = comp.goal[0]
                 self._replace_leftmost(comp, ())
-                return self._record(n, "iii", selected, comp)
+                return self._record("iii", selected, comp)
             reason = f"now({atom.name}) unsatisfied: event not pending"
         elif atom.marker == PAST:
             if atom.name in self.state.pv:
                 selected = comp.goal[0]
                 self._replace_leftmost(comp, ())
-                return self._record(n, "i", selected, comp)
+                return self._record("i", selected, comp)
             reason = f"past({atom.name}) unsatisfied: event never reacted to"
         elif comp.reaction_pending:
             comp.reaction_pending = False
             clause = self.program.reactive_clause(atom.name)
             if clause is not None:
-                return self._resolve(comp, clause, n)
+                return self._resolve(comp, clause)
             reason = f"event '{atom.name}' has no reactive rule"
         elif atom.name in ga.ancestors:
             reason = f"loop detected on '{atom.name}'"
@@ -468,13 +468,13 @@ class Engine:
                     comp.choicepoints.append(
                         _ChoicePoint(comp.atoms, comp.goal, candidates[1:])
                     )
-                return self._resolve(comp, candidates[0], n)
+                return self._resolve(comp, candidates[0])
             if atom.name in self._act_names:
                 # An action without an action rule always succeeds.
                 self._replace_leftmost(comp, ())
                 iv_added = self._perform(atom)
                 return self._record(
-                    n, "ii", atom.name, comp, performed=atom.name, iv_added=iv_added
+                    "ii", atom.name, comp, performed=atom.name, iv_added=iv_added
                 )
             reason = f"no clause for '{atom.name}'"
 
@@ -487,9 +487,9 @@ class Engine:
         comp.atoms, comp.goal = cp.atoms, cp.goal
         if len(cp.candidates) > 1:
             comp.choicepoints.append(_ChoicePoint(cp.atoms, cp.goal, cp.candidates[1:]))
-        return self._resolve(comp, cp.candidates[0], n)
+        return self._resolve(comp, cp.candidates[0])
 
-    def _resolve(self, comp: Component, clause: Clause, n) -> StepRecord:
+    def _resolve(self, comp: Component, clause: Clause) -> StepRecord:
         """SLD step: replace the selected atom with the clause body."""
         ga = comp.atoms[0]
         atom = ga.atom
@@ -503,7 +503,7 @@ class Engine:
         if perform is not None:
             children.append(_Region(atom, comp.index, perform))
         self._replace_leftmost(comp, tuple(children), text)
-        return self._record(n, "i", selected, comp)
+        return self._record("i", selected, comp)
 
     def _resolvent_info(self, clause: Clause) -> tuple[tuple[str, ...], bool | None]:
         """A clause's body text, and whether resolving with it opens a
@@ -561,7 +561,6 @@ class Engine:
 
     def _completion_step(self) -> StepRecord:
         region = self._pending.pop(0)
-        n = len(self.records) + 1
         performed = None
         if region.perform:
             performed = region.owner.name
@@ -569,12 +568,8 @@ class Engine:
         else:
             iv_added = self._record_internal(region.owner)
         return self._record(
-            n,
-            "ii",
-            region.owner.name,
-            self.components[region.component],
-            performed=performed,
-            iv_added=iv_added,
+            "ii", region.owner.name, self.components[region.component],
+            performed=performed, iv_added=iv_added,
         )
 
     def _perform(self, atom: Atom) -> tuple[str, ...]:
@@ -614,41 +609,33 @@ def run_agent(
 ) -> RunResult:
     """Run one agent to quiescence (or the step budget).
 
-    The inbox holds (tick, event) pairs; an entry at tick t is delivered
-    once t interpreter steps have run, or immediately at quiescence if
-    the agent got there early.
+    The inbox holds (tick, event) pairs.  An entry at tick t is delivered
+    once t interpreter steps have run; if a step finds nothing to do
+    before the next entry is due, that entry comes forward at once,
+    together with every entry up to its tick.  Entries due by the budget
+    are delivered before the run counts as truncated.  An internal event
+    is not attempted again until an event arrives or joins.
     """
     engine = Engine(program, strategy)
-    query_index = None
-    if query is not None:
-        query_index = engine.add_query(query)
-    pending = sorted(
-        (ScriptEntry(int(t), "", parse_atom_text(e) if isinstance(e, str) else e)
-         for t, e in inbox),
-        key=lambda entry: entry.tick,
-    )
+    query_index = None if query is None else engine.add_query(query)
+    pending = sorted([(int(t), as_atom(e)) for t, e in inbox], key=itemgetter(0))
     truncated = False
-    i = 0  # pending[i:] are still to be delivered
-
-    def deliver(up_to: int) -> None:
-        nonlocal i
-        while i < len(pending) and pending[i].tick <= up_to:
-            engine.inject(pending[i].event)
-            i += 1
-
+    i = due = 0  # pending[i:] are still to be delivered; deliver up to `due`
     while True:
-        deliver(engine.steps_taken)
-        if engine.steps_taken >= max_steps:
+        while i < len(pending) and pending[i][0] <= due:
+            engine.inject(pending[i][1])
+            i += 1
+        steps = engine.steps_taken
+        if steps >= max_steps:
             truncated = not engine.quiescent or i < len(pending)
             break
-        if engine.step() is None:
-            if i == len(pending):
-                break
-            deliver(pending[i].tick)
+        stop = min(pending[i][0], max_steps) if i < len(pending) else max_steps
+        if len(engine.run(stop - steps)) == stop - steps:
+            due = stop
+        elif i < len(pending):
+            due = pending[i][0]  # idle early: the next entry comes forward
+        else:
+            break
     outcomes = engine.component_outcomes()
-    query_ok = None
-    if query_index is not None:
-        query_ok = outcomes[query_index].status == SUCCEEDED
-    return RunResult(
-        engine.state, tuple(engine.records), outcomes, truncated, query_ok
-    )
+    query_ok = None if query_index is None else outcomes[query_index].status == SUCCEEDED
+    return RunResult(engine.state, tuple(engine.records), outcomes, truncated, query_ok)

@@ -20,6 +20,9 @@ PLAIN = "plain"
 PAST = "past"
 PRESENT = "present"
 MARKERS = (PLAIN, PAST, PRESENT)
+# How the plain program P' of `dali.semantics` names a marked atom:
+# `past(e)` is `past_e` and `now(e)` is `now_e`.
+MARKER_PREFIX = {PLAIN: "", PAST: "past_", PRESENT: "now_"}
 
 # Clause kinds.
 ORDINARY = "ordinary"
@@ -230,19 +233,23 @@ def _validate(p: AgentProgram) -> ValidationReport:
     for name in sorted(ext & act):
         err(None, "role-conflict", f"'{name}' declared both external and action")
 
-    # The transformed program names past(E) `past_E` and now(E) `now_E`,
-    # so no atom may take either name.  A reactive or action head, or a
-    # marked atom, with such a name must be declared to pass the other
-    # rules, and is reported with its declaration; ordinary heads and
-    # plain body atoms are checked clause by clause below.
-    reserved = {"past_" + e for e in events}
-    reserved.update("now_" + e for e in ext)
+    # P' names past(E) and now(E) by MARKER_PREFIX, so no atom may take
+    # either name.  A reactive or action head, or a marked atom, with
+    # such a name must be declared to pass the other rules, and is
+    # reported with its declaration; ordinary heads and plain body atoms
+    # are checked clause by clause below.  A reserved name maps to the
+    # (name, marker) of its atom.
+    reserved = {
+        MARKER_PREFIX[marker] + e: (e, marker)
+        for marker, names in ((PAST, events), (PRESENT, ext))
+        for e in names
+    }
 
     def reserved_name(idx, name):
-        marked = f"past({name[5:]})" if name.startswith("past_") else f"now({name[4:]})"
+        marked = Atom(*reserved[name])
         err(idx, "reserved-name", f"atom name '{name}' is reserved for {marked}")
 
-    for name in sorted((reserved & events) | (reserved & act)):
+    for name in sorted(reserved.keys() & (events | act)):
         reserved_name(None, name)
 
     reactive_seen: set[str] = set()

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .model import ACTION, PAST, PRESENT, AgentProgram, Atom
-from .parser import parse_atom_text
+from .parser import as_atom
 
 
 def naive_fixpoint(clauses) -> frozenset[str]:
@@ -123,14 +123,10 @@ def exhaustive_interleavings(
     internal_names = program.internal_names
     action_names = program.action_names
 
-    ev = frozenset(
-        program.inbox_name(parse_atom_text(e) if isinstance(e, str) else e)
-        for e in inbox
-    )
+    ev = frozenset(program.inbox_name(as_atom(e)) for e in inbox)
     comps: tuple = ()
     if query is not None:
-        q = parse_atom_text(query) if isinstance(query, str) else query
-        comps = ((False, ((q, frozenset(), ()),)),)
+        comps = ((False, ((as_atom(query), frozenset(), ()),)),)
     start = _State(comps, (), ev, frozenset(), frozenset(), (), frozenset())
 
     def perform(performed, iv, pv, name):

@@ -303,6 +303,11 @@ def parse_atom_text(text: str) -> Atom:
     return atoms[0]
 
 
+def as_atom(atom: Atom | str) -> Atom:
+    """An atom as given, or parsed from its text by `parse_atom_text`."""
+    return parse_atom_text(atom) if isinstance(atom, str) else atom
+
+
 def _universal_newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
@@ -340,6 +345,7 @@ __all__ = [
     "EventScript",
     "ScriptEntry",
     "SourceSpan",
+    "as_atom",
     "load_agent_file",
     "load_event_script",
     "parse_agent_file",

@@ -38,7 +38,7 @@ from typing import Iterable
 
 from .engine import Engine, StepRecord
 from .errors import DaliConfigError, DaliSyntaxError, DaliValidationError, SourceSpan
-from .model import AgentProgram, Atom, validate_program
+from .model import MARKER_PREFIX, PAST, AgentProgram, Atom, validate_program
 from .parser import EventScript, load_agent_file, load_event_script, read_source
 # `evolve_system` compiles each agent's rules once and so never calls
 # `least_model`; the name stays here because bench/tracing.py wraps it.
@@ -307,12 +307,12 @@ class SystemRunner:
                     break  # unreachable within the tick budget
                 self.tick = upcoming  # fast-forward idle ticks
             self.run_tick()
-        return SystemResult(
-            quiescent,
-            self.tick,
-            tuple(self.trace),
-            self._broadcast.warnings([pair] for pair in self._broadcast.routes),
-        )
+        return SystemResult(quiescent, self.tick, tuple(self.trace), self.warnings())
+
+    def warnings(self) -> tuple[str, ...]:
+        """One warning per dropped delivery of the actions routed so far.
+        A newly routed action only appends to them."""
+        return self._broadcast.warnings([pair] for pair in self._broadcast.routes)
 
     # -- step-granular interface (REPL) ------------------------------------
 
@@ -393,7 +393,7 @@ def evolve_system(
     # The model atoms that become an agent's own units next round.
     own_units = {
         name: tuple((a.name, Atom(a.name)) for a in program.internals)
-        + tuple((f"past_{e}", Atom.past(e)) for e in program.event_names)
+        + tuple((MARKER_PREFIX[PAST] + e, Atom.past(e)) for e in program.event_names)
         for name, program in agents.items()
     }
     rounds: list[EvolutionRound] = []

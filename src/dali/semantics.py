@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DaliConfigError
-from .model import ACTION, PAST, PLAIN, PRESENT, REACTIVE, AgentProgram, Atom
+from .model import ACTION, MARKER_PREFIX, PAST, PRESENT, REACTIVE, AgentProgram, Atom
 
 # Provenance labels for transformed clauses.
 RULE_ORDINARY = "ordinary"
@@ -45,11 +45,6 @@ RULE_REACTIVE = "reactive-transform"
 RULE_PAST = "past-transform"
 RULE_ACTION = "action-transform"
 RULE_INIT = "initial-event"
-
-
-# The prefix that names a marked atom in the extended alphabet of P'
-# (`past(e)` is `past_e`, `now(e)` is `now_e`).
-_PREFIX = {PLAIN: "", PAST: "past_", PRESENT: "now_"}
 
 
 class TransformedClause(NamedTuple):
@@ -121,7 +116,8 @@ def transform_program(
         init = InitialSituation(tuple(init))
     init.validated(p)
     action_names = p.action_names
-    prefix = _PREFIX
+    prefix = MARKER_PREFIX
+    past = prefix[PAST]
 
     # Action rules yield no clause of their own: their bodies become the
     # preconditions of the derivation clauses below.
@@ -148,7 +144,7 @@ def transform_program(
         if kind == REACTIVE:
             guarded = (head, *body)
             append(new(cls, (head, guarded, RULE_REACTIVE, idx)))
-            append(new(cls, ("past_" + head, guarded, RULE_PAST, idx)))
+            append(new(cls, (past + head, guarded, RULE_PAST, idx)))
         else:
             append(new(cls, (head, body, RULE_ORDINARY, idx)))
         if action_names.isdisjoint(body):
@@ -170,13 +166,14 @@ def transform_program(
 def unit_names(events: Iterable[Atom], externals: frozenset[str]) -> Iterator[str]:
     """Heads of the unit clauses of P' for events true at the start, in
     order: `past_E` for `past(E)`; `E`, then `now_E` if E is external."""
+    past, now = MARKER_PREFIX[PAST], MARKER_PREFIX[PRESENT]
     for a in events:
         if a.marker == PAST:
-            yield f"past_{a.name}"
+            yield past + a.name
         else:
             yield a.name
             if a.name in externals:
-                yield f"now_{a.name}"
+                yield now + a.name
 
 
 HornClauses = Iterable[tuple[str, Sequence[str]]]

@@ -391,6 +391,27 @@ class TestInternalEvents:
         attempt = [o for o in r.outcomes if o.origin == INTERNAL_ATTEMPT]
         assert attempt and attempt[0].status == FAILED
 
+    def test_an_arrival_reopens_a_failed_attempt(self):
+        # w fails while e is not pending, and nothing but event traffic
+        # could change that, so w waits for the next arrival or join.
+        engine = Engine(program(
+            "agent A. @external e. @internal w. @action x. w :- now(e). w :> x."
+        ))
+        engine.run()
+        assert [r.case for r in engine.records] == ["vi", "i"]
+        assert engine.quiescent
+        engine.inject("e")
+        engine.run()
+        assert engine.state.performed_names() == ("x",)
+        assert engine.state.pv_names() == ("e", "w")
+
+    def test_a_coalesced_arrival_also_reopens_attempts(self):
+        engine = Engine(program("agent A. @external e. @internal w. w :- now(e)."))
+        assert engine.inject("e")
+        engine._tried.add("w")
+        assert not engine.inject("e")  # coalesced into the pending e
+        assert not engine._tried
+
     def test_attempt_count_bounded_by_budget_over_period(self, scenario):
         m = 2
         budget = 9
@@ -445,6 +466,13 @@ class TestRunDriver:
         # budget to force truncation instead.
         r = run_agent(p, max_steps=2)
         assert r.truncated
+
+    def test_budget_counts_entries_not_yet_delivered(self):
+        p = program("agent A. @external e. @action x. e :> x.")
+        due = run_agent(p, inbox=[(0, "e")], max_steps=0)
+        late = run_agent(p, inbox=[(1, "e")], max_steps=0)
+        assert (due.state.ev_names(), due.truncated) == (("e",), True)
+        assert (late.state.ev_names(), late.truncated) == ((), True)
 
     def test_late_inbox_events_reached_by_time_jump(self):
         p = program("agent A. @external e. @action x. e :> x.")

@@ -10,7 +10,10 @@ what a scan of the whole run gives: the active list, the running
 attempts, the EV, IV and PV name tuples the records share, the set of PV
 names, the performed actions the records name, and the goal text of
 every component and of every choice point, including right after a
-backtrack.
+backtrack.  On these runs a step returns None exactly when the engine
+is quiescent.
+`run_agent` must also give, on random inboxes and budgets, what a loop
+of single steps under the same delivery rule gives.
 
 Regenerate the files (only when a change of behaviour is intended):
 
@@ -24,6 +27,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dali.engine import (
     ACTIVE,
@@ -32,10 +37,11 @@ from dali.engine import (
     SUCCEEDED,
     Engine,
     GoalAtom,
+    Strategy,
     run_agent,
 )
 from dali.model import PLAIN
-from dali.parser import load_agent_file, load_event_script, parse_agent_file
+from dali.parser import as_atom, load_agent_file, load_event_script, parse_agent_file
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -154,13 +160,18 @@ class StepCounts:
 
 def check_every_step(monkeypatch) -> StepCounts:
     """From now on, check the live state after every engine step and
-    count the steps and those of them that backtracked."""
+    count the steps and those of them that backtracked.  A step of a
+    quiescent engine returns None, and on these runs a step that returns
+    None leaves the engine quiescent."""
     step = Engine.step
     counts = StepCounts()
 
     def checked_step(self):
+        idle = self.quiescent
         before = [(c, set(map(id, c.choicepoints))) for c in self._active]
         rec = step(self)
+        assert rec is None or not idle
+        assert rec is not None or self.quiescent
         check_live_state(self)
         counts.steps += 1
         # A choice point leaves a component only when it backtracks.
@@ -213,6 +224,64 @@ def test_round_robin_skips_a_failed_middle_component():
     assert [c.status for c in engine.components] == [SUCCEEDED, FAILED, SUCCEEDED]
     assert engine.components[1].failure == "no clause for 'missing'"
     assert engine._active == [] and engine.quiescent
+
+
+def reference_run(program, inbox, strategy, max_steps):
+    """`run_agent`'s delivery rule as a loop of single steps: before each
+    step, deliver the entries due by the steps taken; at quiescence,
+    bring the next entry forward with every entry up to its tick."""
+    engine = Engine(program, strategy)
+    pending = sorted([(t, as_atom(e)) for t, e in inbox], key=lambda entry: entry[0])
+    i = 0
+
+    def deliver(up_to):
+        nonlocal i
+        while i < len(pending) and pending[i][0] <= up_to:
+            engine.inject(pending[i][1])
+            i += 1
+
+    while True:
+        deliver(engine.steps_taken)
+        if engine.steps_taken >= max_steps:
+            return engine, not engine.quiescent or i < len(pending)
+        if engine.step() is None:
+            if i == len(pending):
+                return engine, False
+            deliver(pending[i][0])
+
+
+REFERENCE_PROGRAMS = {
+    "chain30": parse_agent_file(chain_source()),
+    "consumer": load_agent_file(SCENARIOS / "consumer.dali"),  # idle until an event
+    "mary": load_agent_file(SCENARIOS / "mary.dali"),
+}
+
+
+@st.composite
+def timed_runs(draw):
+    """A program, a budget (often a tiny one), strategy periods and an
+    inbox whose ticks come from a small pool: some equal, some at the
+    budget, some past it."""
+    program = REFERENCE_PROGRAMS[draw(st.sampled_from(sorted(REFERENCE_PROGRAMS)))]
+    max_steps = draw(st.integers(0, 8) | st.integers(0, 700))
+    tick = st.integers(0, max_steps) | st.just(max_steps) | st.integers(max_steps, 800)
+    pool = draw(st.lists(tick, min_size=1, max_size=4))
+    event = st.sampled_from([e.name for e in program.externals])
+    inbox = draw(st.lists(st.tuples(st.sampled_from(pool), event), max_size=8))
+    strategy = Strategy(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    return program, inbox, strategy, max_steps
+
+
+@settings(max_examples=100, deadline=None)
+@given(timed_runs())
+def test_run_agent_matches_the_single_step_loop(run):
+    program, inbox, strategy, max_steps = run
+    result = run_agent(program, inbox=inbox, strategy=strategy, max_steps=max_steps)
+    engine, truncated = reference_run(program, inbox, strategy, max_steps)
+    assert result.records == tuple(engine.records)
+    assert result.outcomes == engine.component_outcomes()
+    assert result.state == engine.state
+    assert result.truncated == truncated
 
 
 def write() -> None:
