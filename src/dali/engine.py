@@ -312,9 +312,11 @@ class Engine:
             return rec
         # Off-schedule work still runs rather than idling; the periods
         # only decide who goes first when several step kinds apply, so a
-        # due external join precedes an off-schedule internal phase.
+        # due external join precedes an off-schedule internal phase.  A
+        # due internal phase looks again: the components that just failed
+        # may have ended the attempt that kept an event from being tried.
         ev = self.state.ev
-        if not internal_due and not (ev and external_due):
+        if not (ev and external_due):
             rec = self._internal_phase()
             if rec is not None:
                 return rec

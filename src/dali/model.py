@@ -53,6 +53,16 @@ class Atom:
             raise ValueError(f"bad marker: {self.marker!r}")
 
     @classmethod
+    def _unchecked(cls, name: str, marker: str = PLAIN) -> "Atom":
+        """An atom whose name is an identifier and whose marker is one
+        of MARKERS by construction, as the parser's are; it skips
+        `__post_init__` and is otherwise the atom `Atom(name, marker)`."""
+        atom = _new(cls)
+        _set_name(atom, name)
+        _set_marker(atom, marker)
+        return atom
+
+    @classmethod
     def past(cls, name: str) -> "Atom":
         return cls(name, PAST)
 
@@ -85,11 +95,32 @@ class Clause:
         if self.kind not in KINDS:
             raise ValueError(f"bad clause kind: {self.kind!r}")
 
+    @classmethod
+    def _unchecked(cls, head: Atom, body: tuple[Atom, ...], kind: str) -> "Clause":
+        """A clause whose body is a tuple and whose kind is one of KINDS
+        by construction, as the parser's are; see `Atom._unchecked`."""
+        clause = _new(cls)
+        _set_head(clause, head)
+        _set_body(clause, body)
+        _set_kind(clause, kind)
+        return clause
+
     def __str__(self) -> str:
         if not self.body:
             return f"{self.head}."
         body = ", ".join(str(a) for a in self.body)
         return f"{self.head} {ARROWS[self.kind]} {body}."
+
+
+# Slot setters for the `_unchecked` constructors: they write a field of
+# a frozen instance directly, as `object.__setattr__` would, without
+# looking the slot up again on every call.
+_new = object.__new__
+_set_name = Atom.name.__set__
+_set_marker = Atom.marker.__set__
+_set_head = Clause.head.__set__
+_set_body = Clause.body.__set__
+_set_kind = Clause.kind.__set__
 
 
 def _dedupe(atoms) -> tuple[Atom, ...]:

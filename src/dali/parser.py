@@ -17,10 +17,22 @@ space, tab, `\\r` and newline.  Outside a comment, a character that
 starts no token (`é`, `9`, a lone `:`) is a syntax error at its line
 and column.
 
-The whole file is scanned into tokens by one regular expression before
-parsing starts, so an unexpected character anywhere is reported ahead
-of a grammar error.  Tokens are plain strings; the line and column of a
-diagnostic are worked out from the token's offset, and only then.
+The whole file is scanned into tokens by one flat regular expression
+before parsing starts, so an unexpected character anywhere is reported
+ahead of a grammar error.  A token is an identifier, an arrow, a `%`
+comment, or any other single character that is not a blank; blanks
+match nothing.  Comment tokens are then dropped (only when the text has
+a `%` at all) and one "" token marks the end of the file.  Tokens are
+plain strings; the line and column of a diagnostic are worked out from
+the token's offset, and only then, by scanning again with the same
+expression and skipping comments the same way; the end of the file is
+at `len(text)`.
+
+A name token has matched `[A-Za-z_]\\w*`, the very rule `is_identifier`
+applies, and clause kinds and markers come from the tables below, so
+the parser builds its atoms and clauses with `Atom._unchecked` and
+`Clause._unchecked`, which skip the checks that `Atom(...)` and
+`Clause(...)` would repeat.  The values are the same either way.
 
 Event scripts are line oriented, `#` comments:
 
@@ -52,9 +64,9 @@ from .model import (
     is_identifier,
 )
 
-# Skips blanks and comments, then takes one token: an identifier, a
-# two-character arrow, any other single character, or "" at the end.
-_TOKEN = re.compile(r"(?:[ \t\r\n]+|%[^\n]*)*([A-Za-z_]\w*|:[-><]|.|\Z)", re.DOTALL)
+# One token: an identifier, a two-character arrow, a comment, or any
+# other single character that is not a blank.  Blanks match nothing.
+_TOKEN = re.compile(r"[A-Za-z_]\w*|:[-><]|%[^\n]*|[^ \t\r\n]")
 # Tokens that are not names; "" is the end of the file.
 _PUNCT = frozenset((":-", ":>", ":<", ".", ",", "(", ")", "@", ""))
 _ARROWS = {":-": ORDINARY, ":>": REACTIVE, ":<": ACTION}
@@ -62,9 +74,20 @@ _MARKERS = {"past": PAST, "now": PRESENT}
 _IDENT_START = frozenset(ascii_letters + "_")
 
 
+def _tokens(text: str) -> list[str]:
+    """The tokens of `text` without its comments, then "" for the end."""
+    toks = _TOKEN.findall(text)
+    if "%" in text:
+        toks = [tok for tok in toks if tok[0] != "%"]
+    toks.append("")
+    return toks
+
+
 def _span(text: str, filename: str, index: int) -> SourceSpan:
-    """The position of token `index`, found by scanning again."""
-    offset = next(islice(_TOKEN.finditer(text), index, None)).start(1)
+    """The position of token `index` of `_tokens(text)`, found by
+    scanning again; the end of the file is at `len(text)`."""
+    starts = (m.start() for m in _TOKEN.finditer(text) if m[0][0] != "%")
+    offset = next(islice(starts, index, None), len(text))
     line_start = text.rfind("\n", 0, offset) + 1
     return SourceSpan(filename, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
@@ -76,7 +99,7 @@ def parse_agent_file(text: str, filename: str = "<string>") -> AgentProgram:
     DaliSyntaxError with a 1-based source position on malformed input;
     structural restrictions are left to `validate_program`.
     """
-    toks = _TOKEN.findall(text)
+    toks = _tokens(text)
 
     def fail(index: int, message: str) -> NoReturn:
         raise DaliSyntaxError(message, _span(text, filename, index))
@@ -92,7 +115,7 @@ def parse_agent_file(text: str, filename: str = "<string>") -> AgentProgram:
         if tok not in _PUNCT:
             if tok[0] not in _IDENT_START:
                 fail(toks.index(tok), f"unexpected character {tok!r}")
-            plain[tok] = Atom(tok)
+            plain[tok] = Atom._unchecked(tok)
     marked: dict[tuple[str, str], Atom] = {}
 
     # Every token but the last is followed by another, so once toks[i]
@@ -136,7 +159,7 @@ def parse_agent_file(text: str, filename: str = "<string>") -> AgentProgram:
             expected(i, "a clause head")
         tok = toks[i + 1]
         if tok == ".":
-            clauses.append(Clause(head))
+            clauses.append(Clause._unchecked(head, (), ORDINARY))
             i += 2
             continue
         kind = _ARROWS.get(tok)
@@ -162,7 +185,7 @@ def parse_agent_file(text: str, filename: str = "<string>") -> AgentProgram:
                 key = (inner, _MARKERS[tok])
                 atom = marked.get(key)
                 if atom is None:
-                    atom = marked[key] = Atom(*key)
+                    atom = marked[key] = Atom._unchecked(*key)
                 i += 3
             body.append(atom)
             if toks[i + 1] != ",":
@@ -170,7 +193,7 @@ def parse_agent_file(text: str, filename: str = "<string>") -> AgentProgram:
         i += 1
         if toks[i] != ".":
             expected(i, "'.' at the end of the clause")
-        clauses.append(Clause(head, tuple(body), kind))
+        clauses.append(Clause._unchecked(head, tuple(body), kind))
         i += 1
 
     return AgentProgram(
@@ -263,7 +286,7 @@ def parse_event_script(text: str, filename: str = "<string>") -> EventScript:
             )
         if not is_identifier(agent) or not is_identifier(event):
             raise DaliSyntaxError("agent and event must be identifiers", span)
-        entries.append(ScriptEntry(tick, agent, Atom(event)))
+        entries.append(ScriptEntry(tick, agent, Atom._unchecked(event)))
         prev = tick
     return EventScript(tuple(entries))
 
@@ -275,17 +298,17 @@ def parse_init_atoms(spec: str) -> tuple[Atom, ...]:
         part = part.strip()
         if not part:
             continue
-        for marker, prefix in (("past", "past("), ("present", "now(")):
-            if part.startswith(prefix) and part.endswith(")"):
-                inner = part[len(prefix) : -1].strip()
+        for word, marker in _MARKERS.items():
+            if part.startswith(word + "(") and part.endswith(")"):
+                inner = part[len(word) + 1 : -1].strip()
                 if not is_identifier(inner):
                     raise DaliSyntaxError(f"bad event name {inner!r} in init list")
-                atoms.append(Atom(inner, marker))
+                atoms.append(Atom._unchecked(inner, marker))
                 break
         else:
             if not is_identifier(part):
                 raise DaliSyntaxError(f"bad event name {part!r} in init list")
-            atoms.append(Atom(part))
+            atoms.append(Atom._unchecked(part))
     return tuple(atoms)
 
 

@@ -33,6 +33,7 @@ PINNED = [
     for command in ("transform", "model")
 ]
 REPL_SESSIONS = [path.stem for path in sorted((ROOT / "scenarios").glob("*.system"))]
+MALFORMED = [path.stem for path in sorted((CLI_DATA / "malformed").glob("*.dali"))]
 
 
 def run_cli(capsys, *argv):
@@ -265,6 +266,19 @@ class TestBadIdentifier:
         code, out, err = run_cli(capsys, "model", str(bad))
         assert (code, out) == (3, "")
         assert err == f"{bad}:{where}: unexpected character {char!r}\n"
+
+
+class TestMalformedInput:
+    """`dali model` on a file with a form feed, a name that starts with
+    `é`, or a comment that ends the file: exit 3 and one
+    `file:line:column` line, pinned in `malformed/NAME.model.err`."""
+
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_exit_3_with_the_pinned_message(self, name):
+        path = f"tests/data/cli/malformed/{name}.dali"
+        err = (CLI_DATA / "malformed" / f"{name}.model.err").read_text(encoding="utf-8")
+        assert err.startswith(f"{path}:") and err.count("\n") == 1
+        assert pinned_run(name, "model", path) == (3, "", err)
 
 
 class TestUnreadableInput:
@@ -644,6 +658,11 @@ def write_pinned() -> None:
         (CLI_DATA / f"{name}.repl.out").write_text(out, encoding="utf-8")
         if err:
             (CLI_DATA / f"{name}.repl.err").write_text(err, encoding="utf-8")
+    for name in MALFORMED:
+        path = f"tests/data/cli/malformed/{name}.dali"
+        code, out, err = pinned_run(name, "model", path)
+        assert (code, out) == (3, ""), (name, err)
+        (CLI_DATA / "malformed" / f"{name}.model.err").write_text(err, encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -405,6 +405,22 @@ class TestInternalEvents:
         assert engine.state.performed_names() == ("x",)
         assert engine.state.pv_names() == ("e", "w")
 
+    def test_a_due_internal_phase_looks_again_after_components_fail(self):
+        # At step 6 the internal phase is due and finds tired's attempt
+        # still running; then the reaction to go and that attempt both
+        # fail, and the join of go has reopened tired.  The step must
+        # attempt tired again rather than return None with work left.
+        engine = Engine(
+            program("agent A0. @internal go. @internal tired. go."), Strategy(1, 1)
+        )
+        engine.run()
+        assert [(r.case, r.selected) for r in engine.records] == [
+            ("vi", "go"), ("vi", "tired"), ("i", "go"), ("ii", "go"),
+            ("v", "go"), ("vi", "tired"),
+        ]
+        assert engine.quiescent
+        assert engine.step() is None
+
     def test_a_coalesced_arrival_also_reopens_attempts(self):
         engine = Engine(program("agent A. @external e. @internal w. w :- now(e)."))
         assert engine.inject("e")

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from dali import load_agent_file, model
+from dali import load_agent_file, model, parse_agent_file
 from dali.engine import Engine
 from dali.errors import DaliValidationError
 from dali.model import (
@@ -45,6 +45,59 @@ class TestClause:
         c = Clause(Atom("e"), (Atom("a"), Atom("b")), REACTIVE)
         assert str(c) == "e :> a, b."
         assert c.body == (Atom("a"), Atom("b"))
+
+
+class TestParsedValues:
+    """The parser builds atoms and clauses without the constructor's
+    checks; they must be the very values the checked constructor gives."""
+
+    TEXT = (
+        "agent A. @external e. @internal i. @action x.\n"
+        "p. q :- p, past(e), now(e). e :> x, q. x :< past(i). i :- q.\n"
+    )
+
+    def parsed(self):
+        program = parse_agent_file(self.TEXT)
+        atoms = {a for c in program.clauses for a in (c.head, *c.body)}
+        atoms |= {*program.externals, *program.internals, *program.actions}
+        return program.clauses, sorted(atoms, key=str)
+
+    def test_equal_to_checked_values(self):
+        clauses, atoms = self.parsed()
+        assert {a.marker for a in atoms} == set(model.MARKERS)
+        assert {c.kind for c in clauses} == set(model.KINDS)
+        for a in atoms:
+            b = Atom(a.name, a.marker)
+            assert type(a) is Atom
+            assert (a == b, hash(a) == hash(b)) == (True, True)
+            assert (repr(a), str(a)) == (repr(b), str(b))
+        for c in clauses:
+            body = tuple(Atom(b.name, b.marker) for b in c.body)
+            d = Clause(Atom(c.head.name), body, c.kind)
+            assert type(c) is Clause and type(c.body) is tuple
+            assert (c == d, hash(c) == hash(d)) == (True, True)
+            assert (repr(c), str(c)) == (repr(d), str(d))
+
+    def test_immutable(self):
+        clauses, atoms = self.parsed()
+        atom, clause = atoms[0], clauses[1]
+        for value, field_name in [
+            (atom, "name"), (atom, "marker"),
+            (clause, "head"), (clause, "body"), (clause, "kind"),
+        ]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, field_name, "x")
+
+    def test_replace_still_validates(self):
+        clauses, atoms = self.parsed()
+        atom = atoms[0]
+        with pytest.raises(ValueError, match="bad atom name: '1x'"):
+            dataclasses.replace(atom, name="1x")
+        with pytest.raises(ValueError, match="bad marker"):
+            dataclasses.replace(atom, marker="future")
+        with pytest.raises(ValueError, match="bad clause kind"):
+            dataclasses.replace(clauses[0], kind="bogus")
+        assert dataclasses.replace(clauses[1], body=[atom]).body == (atom,)
 
 
 def henry() -> AgentProgram:

@@ -1,8 +1,13 @@
+import re
+from itertools import islice
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dali.errors import DaliSyntaxError
+from dali import parser
+from dali.errors import DaliSyntaxError, SourceSpan
 from dali.model import (
     ACTION,
     ORDINARY,
@@ -243,3 +248,79 @@ def test_round_trip_preserves_clause_and_body_order(program):
     assert again.clauses == program.clauses
     for mine, theirs in zip(program.clauses, again.clauses):
         assert mine.body == theirs.body
+
+
+# -- tokenizer differential ------------------------------------------------
+
+# The tokenizer as it was before the flat expression: blanks and comments
+# skipped by a repeated group in front of every token, and "" (possibly
+# twice) at the end.  It is the reference the current one must agree with.
+REFERENCE_TOKEN = re.compile(
+    r"(?:[ \t\r\n]+|%[^\n]*)*([A-Za-z_]\w*|:[-><]|.|\Z)", re.DOTALL
+)
+
+
+def reference_tokens(text: str) -> list[str]:
+    return REFERENCE_TOKEN.findall(text)
+
+
+def reference_span(text: str, filename: str, index: int) -> SourceSpan:
+    offset = next(islice(REFERENCE_TOKEN.finditer(text), index, None)).start(1)
+    line_start = text.rfind("\n", 0, offset) + 1
+    return SourceSpan(filename, text.count("\n", 0, offset) + 1, offset - line_start + 1)
+
+
+def outcome(text: str):
+    try:
+        return parse_agent_file(text, "f.dali")
+    except DaliSyntaxError as exc:
+        return str(exc)
+
+
+# Pieces of agent files, and characters the grammar does not have: form
+# feed, vertical tab, NUL, a non-ASCII letter, a no-break space.
+TOKEN_PIECES = (
+    "agent", "A", "p", "q", "e", "x", "_", "9", "$", ".", ",", ":-", ":>", ":<",
+    ":", "-", ">", "(", ")", "@", "external", "internal", "action", "past(",
+    "now(", "%", "% c", " ", "\t", "\n", "\r", "\r\n", "\f", "\v", "\x00",
+    "\u00e9", "\u00a0",
+)
+pieces = st.lists(st.sampled_from(TOKEN_PIECES), max_size=30).map("".join)
+
+
+@st.composite
+def edited_programs(draw):
+    """A printed program with a few pieces inserted at one place."""
+    text = pretty(draw(programs))
+    i = draw(st.integers(0, len(text)))
+    inserted = "".join(draw(st.lists(st.sampled_from(TOKEN_PIECES), max_size=3)))
+    return text[:i] + inserted + text[i:]
+
+
+token_texts = st.one_of(pieces, edited_programs())
+
+
+class TestTokenizer:
+    """The flat token expression against the reference above."""
+
+    @settings(max_examples=400)
+    @given(token_texts)
+    def test_same_tokens_offsets_and_outcomes(self, text):
+        toks = parser._tokens(text)
+        ref = reference_tokens(text)
+        assert toks[-1] == ""
+        assert toks[:-1] == [t for t in ref if t]
+        for i in range(len(toks)):
+            assert parser._span(text, "f.dali", i) == reference_span(text, "f.dali", i)
+        got = outcome(text)
+        with mock.patch.object(parser, "_tokens", reference_tokens), mock.patch.object(
+            parser, "_span", reference_span
+        ):
+            assert got == outcome(text)
+
+    @pytest.mark.parametrize("text", ["", "% only a comment", "agent A.\r\n% c"])
+    def test_end_of_file_is_one_empty_token_at_the_end(self, text):
+        toks = parser._tokens(text)
+        assert toks.count("") == 1 and toks[-1] == ""
+        span = parser._span(text, "f.dali", len(toks) - 1)
+        assert span == reference_span(text, "f.dali", len(toks) - 1)

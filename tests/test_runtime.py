@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dali import model, runtime
+from dali.engine import Engine, Strategy
 from dali.errors import DaliConfigError, DaliSyntaxError, DaliValidationError
 from dali.model import ACTION, ORDINARY, REACTIVE, AgentProgram, Atom, Clause
 from dali.runtime import (
@@ -406,6 +407,23 @@ def test_evolution_rounds_match_a_rebuilt_transform(config, data):
         assert next_units(config, last.models) == last.units
     else:
         assert len(trace.rounds) == runtime.MAX_EVOLUTION_ROUNDS
+
+
+@settings(max_examples=300, deadline=None)
+@given(routed_systems(), st.integers(1, 3), st.integers(1, 3))
+def test_a_step_returns_none_only_at_quiescence(config, k, m):
+    """Every agent, given each of its external events, steps until a
+    step returns None, and is then quiescent: no step kind was left
+    applicable (a quiescent engine's step returns None, as
+    `tests/test_engine_records.py` checks)."""
+    for program in config.agents.values():
+        if not model.validate_program(program).ok:
+            continue
+        engine = Engine(program, Strategy(k, m))
+        for event in program.externals:
+            engine.inject(event)
+        engine.run()
+        assert engine.quiescent, [(r.case, r.selected) for r in engine.records]
 
 
 class TestEvolution:
