@@ -49,14 +49,12 @@ from .runtime import (
     SystemRunner,
     evolve_system,
     load_system_config,
-    run_system,
 )
 from .semantics import (
     InitialSituation,
     TransformedClause,
     TransformedProgram,
     least_model,
-    restrict_by_strategy,
     snapshot,
     transform_program,
 )

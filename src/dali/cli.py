@@ -7,8 +7,8 @@
     dali repl <sysconfig>
 
 Exit codes: 0 success/quiescence, 1 failed query, 2 truncated run,
-3 parse or validation error.  Results go to stdout, diagnostics to
-stderr.  DALI_MAX_STEPS overrides the per-agent step budget.
+3 parse, validation or usage error.  Results go to stdout, diagnostics
+to stderr.  DALI_MAX_STEPS overrides the per-agent step budget.
 """
 
 from __future__ import annotations
@@ -30,18 +30,6 @@ EXIT_OK = 0
 EXIT_QUERY_FAILED = 1
 EXIT_TRUNCATED = 2
 EXIT_BAD_INPUT = 3
-
-
-def _die(message: str) -> int:
-    print(message, file=sys.stderr)
-    return EXIT_BAD_INPUT
-
-
-def _print_issues(exc: DaliValidationError) -> None:
-    where = exc.path or f"agent {exc.agent}"
-    for issue in exc.report.errors:
-        clause = f" (clause {issue.clause_index})" if issue.clause_index is not None else ""
-        print(f"{where}: {issue.message}{clause}", file=sys.stderr)
 
 
 def _load_validated(path):
@@ -150,27 +138,6 @@ def cmd_model(args) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(args) -> int:
-    from .oracle import exhaustive_interleavings
-
-    if args.max_states < 1:
-        raise DaliError(f"--max-states must be >= 1, got {args.max_states}")
-    program = _load_validated(args.agent)
-    events = parse_init_atoms(args.events) if args.events else ()
-    result = exhaustive_interleavings(
-        program,
-        inbox=events,
-        query=args.query,
-        max_states=args.max_states,
-    )
-    for actions, pv in sorted(
-        result.outcomes, key=lambda o: (o[0], tuple(sorted(o[1])))
-    ):
-        print(f"actions=[{', '.join(actions)}] pv=[{', '.join(sorted(pv))}]")
-    print(f"explored={result.explored} truncated={result.truncated}", file=sys.stderr)
-    return EXIT_TRUNCATED if result.truncated else EXIT_OK
-
-
 def cmd_repl(args) -> int:
     config = load_system_config(args.sysconfig)
     budget = _env_max_steps(1000)
@@ -238,15 +205,19 @@ def cmd_repl(args) -> int:
         warned = len(warnings)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Exits 3 on a usage error, where argparse exits 2 (a truncated run)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="dali", description="Active Horn-clause agent interpreter"
     )
-    sub = parser.add_subparsers(
-        dest="command",
-        required=True,
-        metavar="{run,query,transform,model,repl}",
-    )
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="run a multi-agent system to quiescence")
     p.add_argument("sysconfig")
@@ -274,14 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sysconfig")
     p.set_defaults(func=cmd_repl)
 
-    # Test-only helper, intentionally absent from the subcommand listing.
-    p = sub.add_parser("oracle")
-    p.add_argument("agent")
-    p.add_argument("--events", help="comma-separated events pending at start")
-    p.add_argument("--query", default=None)
-    p.add_argument("--max-states", type=int, default=100_000)
-    p.set_defaults(func=cmd_oracle)
-
     return parser
 
 
@@ -290,12 +253,15 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except DaliValidationError as exc:
-        _print_issues(exc)
+        where = exc.path or f"agent {exc.agent}"
+        for issue in exc.report.errors:
+            at = issue.clause_index
+            clause = "" if at is None else f" (clause {at})"
+            print(f"{where}: {issue.message}{clause}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except DaliError as exc:
-        return _die(str(exc))
-    except FileNotFoundError as exc:
-        return _die(str(exc))
+        print(exc, file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

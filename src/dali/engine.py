@@ -52,8 +52,7 @@ stringifies nothing.
 
 Step records, component outcomes, goal atoms and choice points are
 immutable named tuples (so are the P' clauses of `dali.semantics`):
-each is built by one tuple allocation.  Read their fields by name; a
-caller that used `dataclasses.asdict` now uses `._asdict()`.
+each is built by one tuple allocation.  Read their fields by name.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
-from .errors import DaliValidationError
+from .errors import DaliValidationError, frozen
 from .model import (
     ACTION,
     PAST,
@@ -96,7 +95,7 @@ MAX_STEPS = 10_000
 _INDEX = attrgetter("index")
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Strategy:
     """Deterministic scheduling policy.
 
@@ -593,7 +592,7 @@ class Engine:
         return (name,)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class RunResult:
     state: AgentState
     records: tuple[StepRecord, ...]

@@ -1,11 +1,24 @@
-"""Exception types and source positions shared across the package."""
+"""Exception types, source positions and the `frozen` dataclass decorator."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 
-@dataclass(frozen=True, slots=True)
+def _refuse(self, name, *value):
+    verb = "assign to" if value else "delete"
+    raise FrozenInstanceError(f"cannot {verb} field {name!r}")
+
+
+def frozen(cls):
+    """`@dataclass(frozen=True, slots=True)`, but setting or deleting a name
+    that is not a field raises `FrozenInstanceError`, not `TypeError`."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__setattr__ = cls.__delattr__ = _refuse
+    return cls
+
+
+@frozen
 class SourceSpan:
     """1-based position of a token in an input file."""
 

@@ -11,9 +11,9 @@ what is pending.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import field
 
-from .errors import DaliConfigError
+from .errors import DaliConfigError, frozen
 
 # Atom markers.
 PLAIN = "plain"
@@ -39,7 +39,7 @@ def is_identifier(name: str) -> bool:
     return bool(_IDENT.match(name))
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Atom:
     """A propositional atom, optionally wrapped in a past/present marker."""
 
@@ -78,7 +78,7 @@ class Atom:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Clause:
     """One rule.  A fact is an ordinary clause with an empty body.
 
@@ -123,14 +123,7 @@ _set_body = Clause.body.__set__
 _set_kind = Clause.kind.__set__
 
 
-def _dedupe(atoms) -> tuple[Atom, ...]:
-    seen: dict[Atom, None] = {}
-    for a in atoms:
-        seen.setdefault(a)
-    return tuple(seen)
-
-
-@dataclass(frozen=True, slots=True)
+@frozen
 class AgentProgram:
     """A named agent: ordered clauses plus declared role sets.
 
@@ -161,9 +154,9 @@ class AgentProgram:
     def __post_init__(self):
         setattr_ = object.__setattr__
         setattr_(self, "clauses", tuple(self.clauses))
-        setattr_(self, "externals", _dedupe(self.externals))
-        setattr_(self, "internals", _dedupe(self.internals))
-        setattr_(self, "actions", _dedupe(self.actions))
+        setattr_(self, "externals", tuple(dict.fromkeys(self.externals)))
+        setattr_(self, "internals", tuple(dict.fromkeys(self.internals)))
+        setattr_(self, "actions", tuple(dict.fromkeys(self.actions)))
         ext = frozenset(a.name for a in self.externals)
         internal = frozenset(a.name for a in self.internals)
         setattr_(self, "external_names", ext)
@@ -214,14 +207,14 @@ class AgentProgram:
         return atom.name
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class ValidationIssue:
     clause_index: int | None
     rule: str
     message: str
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class ValidationReport:
     errors: tuple[ValidationIssue, ...] = ()
     warnings: tuple[str, ...] = ()

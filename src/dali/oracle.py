@@ -10,20 +10,19 @@ bugs in the engine or the semantics module.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
+from .errors import frozen
 from .model import ACTION, PAST, PRESENT, AgentProgram, Atom
 from .parser import as_atom
+from .semantics import TransformedProgram
 
 
 def naive_fixpoint(clauses) -> frozenset[str]:
-    """Least model by iterating the immediate-consequence step from {}.
-
-    Accepts (head, body) name pairs or anything with a .pairs() method.
-    """
-    if hasattr(clauses, "pairs"):
-        clauses = clauses.pairs()
-    rules = [(h, tuple(b)) for h, b in clauses]
+    """Least model of `(head, body, ...)` sequences or a `TransformedProgram`,
+    by iterating the immediate-consequence step from {}."""
+    if isinstance(clauses, TransformedProgram):
+        clauses = clauses.clauses
+    rules = [(c[0], tuple(c[1])) for c in clauses]
     model: set[str] = set()
     changed = True
     while changed:
@@ -40,7 +39,7 @@ def naive_fixpoint(clauses) -> frozenset[str]:
 MAX_GOAL_ATOMS = 64
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class ReachabilityResult:
     """Everything the search reached before quiescing or giving up."""
 
@@ -65,7 +64,7 @@ class ReachabilityResult:
 # Search states are nested tuples for hashability: a goal atom is
 # (atom, ancestors, region-ids), a component is (reaction_pending, atoms),
 # a region is (owner name, perform, record_iv).
-@dataclass(frozen=True, slots=True)
+@frozen
 class _State:
     comps: tuple
     regions: tuple  # regions[rid] = (owner name, perform, record_iv)

@@ -45,13 +45,12 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import islice
 from operator import attrgetter
 from string import ascii_letters
 from typing import NoReturn
 
-from .errors import DaliError, DaliSyntaxError, SourceSpan
+from .errors import DaliError, DaliSyntaxError, SourceSpan, frozen
 from .model import (
     ACTION,
     ORDINARY,
@@ -224,7 +223,7 @@ def pretty(program: AgentProgram) -> str:
     return "\n".join(out) + "\n"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class ScriptEntry:
     tick: int
     agent: str
@@ -234,7 +233,7 @@ class ScriptEntry:
 _TICK = attrgetter("tick")
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class EventScript:
     """Timed external-event injections, ordered by tick.
 

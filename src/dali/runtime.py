@@ -37,7 +37,9 @@ from pathlib import Path
 from typing import Iterable
 
 from .engine import Engine, StepRecord
-from .errors import DaliConfigError, DaliSyntaxError, DaliValidationError, SourceSpan
+from .errors import (
+    DaliConfigError, DaliError, DaliSyntaxError, DaliValidationError, SourceSpan, frozen
+)
 from .model import MARKER_PREFIX, PAST, AgentProgram, Atom, validate_program
 from .parser import EventScript, load_agent_file, load_event_script, read_source
 # `evolve_system` compiles each agent's rules once and so never calls
@@ -54,7 +56,7 @@ from .semantics import (  # noqa: F401
 MAX_EVOLUTION_ROUNDS = 32
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class ChannelMapping:
     """Routes (producer, action) to a per-consumer external event name.
 
@@ -77,9 +79,6 @@ class ChannelMapping:
     def targets(self, producer: str, action: str) -> dict[str, str]:
         """Consumer -> event for every entry of (producer, action)."""
         return self._index.get((producer, action), {})
-
-    def resolve(self, producer: str, action: str, consumer: str) -> str:
-        return self.targets(producer, action).get(consumer, action)
 
 
 @dataclass(slots=True)
@@ -131,6 +130,17 @@ def _int_directive(key: str, text: str, minimum: int, span: SourceSpan) -> int:
     return value
 
 
+def _load_named(load, path: Path, span: SourceSpan):
+    """`load(path)`, where a file that cannot be read is an error at
+    `span`, the config line naming it; a syntax error keeps its own."""
+    try:
+        return load(path)
+    except DaliSyntaxError:
+        raise
+    except DaliError as exc:  # from `read_source`
+        raise DaliSyntaxError(str(exc), span) from None
+
+
 def load_system_config(path) -> SystemConfig:
     """Parse and validate a system config file and everything it names."""
     path = Path(path)
@@ -151,7 +161,7 @@ def load_system_config(path) -> SystemConfig:
         if key in ("agent", "script") and not rest:
             raise DaliSyntaxError(f"{key} directive needs a file name", span)
         if key == "agent":
-            program = load_agent_file(base / rest)
+            program = _load_named(load_agent_file, base / rest, span)
             report = validate_program(program)
             if not report.ok:
                 raise DaliValidationError(program.name, report, base / rest)
@@ -159,7 +169,7 @@ def load_system_config(path) -> SystemConfig:
                 raise DaliSyntaxError(f"duplicate agent name '{program.name}'", span)
             agents[program.name] = program
         elif key == "script":
-            script = load_event_script(base / rest)
+            script = _load_named(load_event_script, base / rest, span)
         elif key == "map":
             m = _MAP_RE.match(rest)
             if m is None:
@@ -249,7 +259,7 @@ class _Broadcast:
         return tuple(out)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class SystemResult:
     quiescent: bool
     ticks: int
@@ -344,20 +354,16 @@ class SystemRunner:
         return None
 
 
-def run_system(config: SystemConfig) -> SystemResult:
-    return SystemRunner(config).run()
-
-
 # -- evolution over snapshot models ------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class EvolutionRound:
     units: dict[str, frozenset[Atom]]
     models: dict[str, frozenset[str]]
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class EvolutionTrace:
     rounds: tuple[EvolutionRound, ...]
     reached_fixpoint: bool
@@ -443,5 +449,4 @@ __all__ = [
     "SystemRunner",
     "evolve_system",
     "load_system_config",
-    "run_system",
 ]

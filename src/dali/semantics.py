@@ -33,10 +33,9 @@ the rule part once into `HornRules` and feeds each situation's
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import DaliConfigError
+from .errors import DaliConfigError, frozen
 from .model import ACTION, MARKER_PREFIX, PAST, PRESENT, REACTIVE, AgentProgram, Atom
 
 # Provenance labels for transformed clauses.
@@ -62,16 +61,13 @@ class TransformedClause(NamedTuple):
         return f"{self.head} :- {', '.join(self.body)}."
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class TransformedProgram:
     agent: str
     clauses: tuple[TransformedClause, ...] = ()
 
-    def pairs(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
-        return tuple((c.head, c.body) for c in self.clauses)
 
-
-@dataclass(frozen=True, slots=True)
+@frozen
 class InitialSituation:
     """Events assumed true at the beginning of the snapshot.
 
@@ -245,18 +241,10 @@ def least_model(program: TransformedProgram | HornClauses) -> frozenset[str]:
     return HornRules(program).closure()
 
 
-def restrict_by_strategy(
-    tp: TransformedProgram, keep: Callable[[TransformedClause], bool]
-) -> TransformedProgram:
-    """Drop the clauses a resolution strategy would never select."""
-    return TransformedProgram(tp.agent, tuple(c for c in tp.clauses if keep(c)))
-
-
 def snapshot(
     p: AgentProgram, init: InitialSituation | Iterable[Atom] = ()
 ) -> frozenset[str]:
-    """Least model of the transformed program.  To restrict it, take
-    `least_model(restrict_by_strategy(transform_program(p, init), keep))`."""
+    """Least model of the transformed program."""
     return least_model(transform_program(p, init))
 
 

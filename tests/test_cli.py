@@ -138,6 +138,14 @@ class TestTransform:
         assert code == 3
         assert "nonsense" in err
 
+    @pytest.mark.parametrize(
+        "init, name", [("in vitation", "in vitation"), ("e, past(1x)", "1x")],
+        ids=["plain", "marked"],
+    )
+    def test_bad_name_in_init_list_is_exit_3(self, capsys, scenario_dir, init, name):
+        argv = ["model", str(scenario_dir / "anne.dali"), "--init", init]
+        assert run_cli(capsys, *argv) == (3, "", f"bad event name {name!r} in init list\n")
+
 
 class TestQuery:
     def test_provable_atom_exits_zero(self, capsys, scenario_dir):
@@ -309,6 +317,38 @@ class TestUnreadableInput:
         assert str(bad) in err
         if how == "not utf-8":
             assert err == f"{bad}:2:6: not valid UTF-8: invalid continuation byte (byte 0xe9)\n"
+
+    @pytest.mark.parametrize("how", ["missing", "directory"])
+    @pytest.mark.parametrize("directive, line", [("agent", 2), ("script", 3)])
+    def test_config_line_naming_an_unreadable_file_is_exit_3_at_the_line(
+        self, capsys, tmp_path, directive, line, how
+    ):
+        (tmp_path / "a.dali").write_text("agent A. @external e. @action x. e :> x.\n")
+        named = tmp_path / "named"
+        if how == "directory":
+            named.mkdir()
+        lines = ["# a comment", "agent a.dali", "script s.events"]
+        lines[line - 1] = f"  {directive} named"
+        cfg = tmp_path / "sys.system"
+        cfg.write_text("\n".join(lines) + "\n")
+        (tmp_path / "s.events").write_text("0 A e\n")
+        number = errno.ENOENT if how == "missing" else errno.EISDIR
+        reason = f"[Errno {number}] {os.strerror(number)}: '{named}'"
+        assert run_cli(capsys, "run", str(cfg)) == (3, "", f"{cfg}:{line}:1: {reason}\n")
+
+    @pytest.mark.parametrize("directive", ["agent", "script"])
+    def test_syntax_error_in_a_named_file_keeps_its_own_position(
+        self, capsys, tmp_path, directive
+    ):
+        (tmp_path / "a.dali").write_text("agent A. @external e. @action x. e :> x.\n")
+        bad = tmp_path / "bad"
+        bad.write_text("agent A. p :- ,q.\n" if directive == "agent" else "0 A e\nx\n")
+        cfg = tmp_path / "sys.system"
+        cfg.write_text(f"agent a.dali\n{directive} bad\n")
+        code, out, err = run_cli(capsys, "run", str(cfg))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"{bad}:") and err.count("\n") == 1
+        assert err.startswith(f"{bad}:2:" if directive == "script" else f"{bad}:1:15:")
 
 
 class TestRun:
@@ -582,64 +622,49 @@ class TestRepl:
         assert code == 0
 
 
-class TestHiddenOracle:
-    def test_not_in_help(self, capsys):
-        with pytest.raises(SystemExit):
+COMMANDS = ["run", "query", "transform", "model", "repl"]
+
+
+class TestUsage:
+    def test_help_and_invalid_choice_list_exactly_the_commands(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["--help"])
+        assert exc.value.code == 0
         out = capsys.readouterr().out
-        assert "oracle" not in out
-
-    def test_prints_reachable_outcomes(self, capsys, scenario_dir):
-        code, out, err = run_cli(
-            capsys,
-            "oracle",
-            str(scenario_dir / "danger.dali"),
-            "--events",
-            "danger",
-        )
-        assert code == 0
-        assert "actions=[call_police] pv=[danger]" in out
-        assert "actions=[scream] pv=[danger]" in out
-        assert "truncated=False" in err
-
-    def test_marked_query_is_parsed(self, capsys, scenario_dir):
-        code, out, err = run_cli(
-            capsys, "oracle", str(scenario_dir / "anne.dali"), "--query", "past(go_by_car)"
-        )
-        assert code == 0
-        assert out.splitlines()[0] == "actions=[] pv=[]"
-        assert "truncated=False" in err
+        assert out.startswith("usage: dali [-h] {run,query,transform,model,repl} ...\n")
+        listed = [line.split()[0] for line in out.splitlines() if line.startswith("    ")]
+        assert listed == COMMANDS
+        with pytest.raises(SystemExit):
+            main(["oracle"])
+        choices = ", ".join(f"'{c}'" for c in COMMANDS)
+        assert f"invalid choice: 'oracle' (choose from {choices})\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "args,message",
+        "argv, message",
         [
-            (["--query", "go out"], "bad atom 'go out': expected x, past(x) or now(x)"),
-            (["--query", "past(x"], "bad atom 'past(x': expected x, past(x) or now(x)"),
-            (["--events", "zzz"], "'zzz' is not a declared external event of agent Anne"),
-            (["--events", "go_by_car"],
-             "'go_by_car' is not a declared external event of agent Anne"),
-            (["--events", "past(invitation)"],
-             "inbox event past(invitation) is marked; give the event name"),
-            (["--events", "invitation,now(invitation)"],
-             "inbox event now(invitation) is marked; give the event name"),
-            (["--events", "in vitation"], "bad event name"),
-            (["--max-states", "0"], "--max-states must be >= 1, got 0"),
-            (["--max-states", "-3"], "--max-states must be >= 1, got -3"),
+            ([], "the following arguments are required: command"),
+            (["run"], "the following arguments are required: sysconfig"),
+            (["run", "X", "--max-ticks", "x"], "argument --max-ticks: invalid int value: 'x'"),
+            (["foo"], "argument command: invalid choice: 'foo'"),
+            (["model", "a.dali", "--bogus"], "unrecognized arguments: --bogus"),
         ],
     )
-    def test_bad_input_exits_3(self, capsys, scenario_dir, args, message):
-        code, out, err = run_cli(capsys, "oracle", str(scenario_dir / "anne.dali"), *args)
-        assert (code, out) == (3, "")
-        assert message in err
+    def test_usage_error_exits_3(self, capsys, argv, message):
+        # 2 is the exit code of a truncated run, so a usage error is bad input.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: dali")
+        assert message in err.splitlines()[-1]
         assert "Traceback" not in err
 
-    def test_one_state_truncates(self, capsys, scenario_dir):
-        code, _, err = run_cli(
-            capsys, "oracle", str(scenario_dir / "anne.dali"),
-            "--events", "invitation", "--max-states", "1",
-        )
-        assert code == 2
-        assert "explored=1 truncated=True" in err
+    def test_subcommand_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: dali run ")
 
 
 def write_pinned() -> None:

@@ -1,9 +1,12 @@
 import dataclasses
+import importlib
+import pkgutil
 
 import pytest
 
+import dali
 from dali import load_agent_file, model, parse_agent_file
-from dali.engine import Engine
+from dali.engine import Engine, Strategy
 from dali.errors import DaliValidationError
 from dali.model import (
     ACTION,
@@ -98,6 +101,32 @@ class TestParsedValues:
         with pytest.raises(ValueError, match="bad clause kind"):
             dataclasses.replace(clauses[0], kind="bogus")
         assert dataclasses.replace(clauses[1], body=[atom]).body == (atom,)
+
+
+FROZEN = [
+    cls
+    for info in pkgutil.iter_modules(dali.__path__)
+    for cls in vars(importlib.import_module(f"dali.{info.name}")).values()
+    if dataclasses.is_dataclass(cls)
+    and cls.__module__ == f"dali.{info.name}"
+    and cls.__dataclass_params__.frozen
+]
+
+
+def test_the_frozen_dataclasses_are_found():
+    assert {Atom, Clause, AgentProgram, Strategy} <= set(FROZEN)
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=lambda cls: f"{cls.__module__}.{cls.__name__}")
+def test_a_frozen_dataclass_refuses_every_write(cls):
+    # Not only its fields: a name that is not a field raised TypeError
+    # from the generated method's `super()` call.
+    instance = object.__new__(cls)
+    for name in (dataclasses.fields(cls)[0].name, "not_a_field"):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"assign to field '{name}'"):
+            setattr(instance, name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"delete field '{name}'"):
+            delattr(instance, name)
 
 
 def henry() -> AgentProgram:

@@ -25,9 +25,9 @@ from dali.semantics import (
     RULE_REACTIVE,
     HornRules,
     InitialSituation,
+    TransformedProgram,
     least_model,
     render_transformed,
-    restrict_by_strategy,
     snapshot,
     transform_program,
 )
@@ -114,9 +114,9 @@ class TestTransform:
 
     def test_marker_atoms_are_renamed(self, scenario):
         tp = transform_program(scenario("george"))
-        assert ("happy", ("past_girlfriend_call",)) in tp.pairs()
+        assert "happy :- past_girlfriend_call." in clause_strings(tp)
         tp = transform_program(scenario("mary"))
-        assert ("my_god_its_late", ("now_alarm_clock_rings",)) in tp.pairs()
+        assert "my_god_its_late :- now_alarm_clock_rings." in clause_strings(tp)
 
     def test_init_entries_must_be_declared(self, scenario):
         with pytest.raises(DaliConfigError):
@@ -151,20 +151,16 @@ class TestTransform:
 
 
 class TestRestrict:
-    def test_keep_everything_is_identity(self, scenario):
-        tp = transform_program(scenario("danger"), [Atom("danger")])
-        assert restrict_by_strategy(tp, lambda c: True) == tp
-
-    def test_keep_nothing_gives_empty_model(self, scenario):
-        tp = transform_program(scenario("danger"), [Atom("danger")])
-        assert least_model(restrict_by_strategy(tp, lambda c: False)) == frozenset()
-
     def test_dropping_a_derivation_clause_changes_the_model(self, scenario):
         tp = transform_program(scenario("mary"), [Atom("alarm_clock_rings")])
         full = least_model(tp)
         assert {"stand_up", "switch_it_off"} <= full
-        lazy = restrict_by_strategy(
-            tp, lambda c: not (c.rule == RULE_ACTION and c.head == "switch_it_off")
+        lazy = TransformedProgram(
+            tp.agent,
+            tuple(
+                c for c in tp.clauses
+                if not (c.rule == RULE_ACTION and c.head == "switch_it_off")
+            ),
         )
         model = least_model(lazy)
         assert "stand_up" in model
@@ -178,11 +174,6 @@ class TestRestrict:
         # in reactive bodies (or under independently true heads) derive.
         model = least_model(transform_program(scenario("danger"), [Atom("danger")]))
         assert model == {"danger", "now_danger", "have_a_phone"}
-
-    def test_provenance_survives_restriction(self, scenario):
-        tp = transform_program(scenario("henry"))
-        kept = restrict_by_strategy(tp, lambda c: c.rule == RULE_ORDINARY)
-        assert all(c.rule == RULE_ORDINARY for c in kept.clauses)
 
 
 class TestSnapshot:
@@ -317,7 +308,8 @@ class TestHornRules:
     def test_transformed_program_and_its_pairs_compile_alike(self, scenario):
         tp = transform_program(scenario("mary"), [Atom("alarm_clock_rings")])
         seeds = ["past_my_god_its_late"]
-        assert HornRules(tp).closure(seeds) == HornRules(tp.pairs()).closure(seeds)
+        pairs = [(c.head, c.body) for c in tp.clauses]
+        assert HornRules(tp).closure(seeds) == HornRules(pairs).closure(seeds)
         assert HornRules(tp).closure() == naive_fixpoint(tp)
 
 
