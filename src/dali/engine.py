@@ -39,13 +39,16 @@ A step's bookkeeping depends on neither the run's history nor the size
 of EV, IV or the goal, apart from copying the one tuple the step changes
 (a goal, or an event-name tuple), which Python does without a loop of
 its own.  Finished components leave the round-robin list and running
-attempts are a live set.  EV and IV are insertion-ordered sets keyed by
-event name, so an arrival, a coalesced duplicate, a join of the oldest
-event and a now(..) test are each one dictionary operation; PV is the
-set of event names the agent reacted to, and past(..) tests and attempt
-choices look names up in it.  The EV, IV and sorted PV name tuples
-change only when their set does (a join slices one name off; a burst of
-arrivals costs one rebuild), and every record in between shares them.
+attempts are a live set.  Once a search for an attempt comes up empty
+the engine remembers it until an arrival, a join or the end of an
+attempt, so `quiescent` and the step of an idle engine cost O(1).  EV
+and IV are insertion-ordered sets keyed by event name, so an arrival, a
+coalesced duplicate, a join of the oldest event and a now(..) test are
+each one dictionary operation; PV is the set of event names the agent
+reacted to, and past(..) tests and attempt choices look names up in
+it.  The EV, IV and sorted PV name tuples change only when their set
+does (a join slices one name off; a burst of arrivals costs one
+rebuild), and every record in between shares them.
 Each component keeps its goal's text beside its goal, and the engine
 keeps each clause's body text once it has resolved with it, so a rewrite
 stringifies nothing.
@@ -255,6 +258,9 @@ class Engine:
         # Internal events attempted since the last arrival or join: each
         # waits for new event traffic before it is attempted again.
         self._tried: set[str] = set()
+        # True once `_find_attempt` found nothing, until an arrival, a
+        # join or the end of an attempt can make an event attemptable.
+        self._no_attempt = False
         self._int_names = program.internal_names
         self._act_names = program.action_names
         # Per clause resolved with so far, keyed by identity (the program
@@ -269,6 +275,7 @@ class Engine:
         atom = as_atom(event)
         name = self.program.inbox_name(atom)
         self._tried.clear()
+        self._no_attempt = False
         ev = self.state.ev
         if name in ev:
             self.state.coalesced[name] = self.state.coalesced.get(name, 0) + 1
@@ -289,9 +296,8 @@ class Engine:
 
     @property
     def quiescent(self) -> bool:
-        if self._pending or self.state.ev or self.state.iv:
-            return False
-        if self._active:
+        """No step kind applies: O(1) once an attempt search came up empty."""
+        if self._pending or self.state.ev or self.state.iv or self._active:
             return False
         return self._find_attempt() is None
 
@@ -392,6 +398,7 @@ class Engine:
             insort(names, name)
             self._pv_names = tuple(names)
         self._tried.clear()
+        self._no_attempt = False
         comp = self._add_component(origin, event, reaction_pending=True)
         return self._record(
             case, name, comp,
@@ -406,7 +413,11 @@ class Engine:
         would perform the action unprompted.  An event is skipped while
         pending or already reacted to, while an attempt of it is running,
         and when no event arrived or joined since its last attempt.
+        Changes to IV and PV only remove candidates, so once a search
+        finds none, none is found until `_no_attempt` is cleared.
         """
+        if self._no_attempt:
+            return None
         internals = self.program.internals
         iv, pv = self.state.iv, self.state.pv
         for offset in range(len(internals)):
@@ -417,6 +428,7 @@ class Engine:
             if name in self._attempting or name in self._tried:
                 continue
             return pos
+        self._no_attempt = True
         return None
 
     def _advance_components(self) -> StepRecord | None:
@@ -557,6 +569,7 @@ class Engine:
         del self._active[bisect_left(self._active, comp.index, key=_INDEX)]
         if comp.origin == INTERNAL_ATTEMPT:
             self._attempting.discard(comp.origin_atom.name)
+            self._no_attempt = False
 
     # -- nested subproofs --------------------------------------------------
 

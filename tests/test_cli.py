@@ -396,6 +396,17 @@ class TestRun:
         code, _, _ = run_cli(capsys, "run", str(cfg))
         assert code == 2
 
+    def test_reaction_that_uses_the_whole_budget_ends_quiescent(self, capsys, tmp_path):
+        # The reaction takes exactly `budget` steps in tick 0, after which
+        # the agent is idle: one tick suffices, so the run is not cut short.
+        (tmp_path / "a.dali").write_text("agent A. @external go. @action a. go :> a.\n")
+        (tmp_path / "s.events").write_text("0 A go\n")
+        cfg = tmp_path / "sys.system"
+        cfg.write_text("agent a.dali\nscript s.events\nbudget 3\nmax_ticks 1\n")
+        code, out, _ = run_cli(capsys, "run", str(cfg))
+        assert code == 0
+        assert out == "A: steps=3 performed=[a] pv=[go]\n"
+
     def test_reproducible_trace_bytes(self, capsys, scenario_dir, tmp_path):
         paths = []
         for i in (1, 2):

@@ -405,6 +405,19 @@ class TestInternalEvents:
         assert engine.state.performed_names() == ("x",)
         assert engine.state.pv_names() == ("e", "w")
 
+    def test_a_join_reopens_an_attempt_found_exhausted(self):
+        # Off its period, the join of e comes after an internal phase
+        # that found tired already tried; the join must reopen it.
+        engine = Engine(program(
+            "agent T. @external e. @internal tired. tired :- past(e). tired :> rest. rest."
+        ), Strategy(3, 1))
+        engine.inject("e")
+        engine.run()
+        assert [(r.case, r.selected) for r in engine.records[:4]] == [
+            ("vi", "tired"), ("i", "tired"), ("iv", "e"), ("vi", "tired"),
+        ]
+        assert engine.state.pv_names() == ("e", "tired")
+
     def test_a_due_internal_phase_looks_again_after_components_fail(self):
         # At step 6 the internal phase is due and finds tired's attempt
         # still running; then the reaction to go and that attempt both

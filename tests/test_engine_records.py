@@ -6,11 +6,11 @@ inbox where it has one, plus a few queries and a 30-event chain built
 here.  Each run's step records, every field included, and its component
 outcomes must match the JSONL file stored under `tests/data/engine/`.
 After every step of the same runs, the engine's live state must equal
-what a scan of the whole run gives: the active list, the running
-attempts, the EV, IV and PV name tuples the records share, the set of PV
-names, the performed actions the records name, and the goal text of
-every component and of every choice point, including right after a
-backtrack.  On these runs a step returns None exactly when the engine
+what a scan of the whole run gives: quiescence, the active list, the
+running attempts, the EV, IV and PV name tuples the records share, the
+set of PV names, the performed actions the records name, and the goal
+text of every component and of every choice point, including right
+after a backtrack.  On these runs a step returns None exactly when the engine
 is quiescent.
 `run_agent` must also give, on random inboxes and budgets, what a loop
 of single steps under the same delivery rule gives.
@@ -150,6 +150,17 @@ def check_live_state(engine: Engine) -> None:
     for c in engine.components:
         assert c.goal == goal_text(c.atoms)
         assert all(cp.goal == goal_text(cp.atoms) for cp in c.choicepoints)
+    assert engine.quiescent == scanned_quiescent(engine)
+
+
+def scanned_quiescent(engine) -> bool:
+    """`Engine.quiescent` from scratch: nothing pending or active, and
+    no pure internal event left to attempt."""
+    st = engine.state
+    if engine._pending or st.ev or st.iv or engine._active:
+        return False
+    blocked = engine._act_names | st.pv | engine._attempting | engine._tried
+    return all(a.name in blocked for a in engine.program.internals)
 
 
 @dataclasses.dataclass
@@ -168,6 +179,7 @@ def check_every_step(monkeypatch) -> StepCounts:
 
     def checked_step(self):
         idle = self.quiescent
+        assert idle == scanned_quiescent(self)
         before = [(c, set(map(id, c.choicepoints))) for c in self._active]
         rec = step(self)
         assert rec is None or not idle

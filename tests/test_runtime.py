@@ -1,13 +1,15 @@
 import re
+from operator import itemgetter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dali import model, runtime
-from dali.engine import Engine, Strategy
+from dali.engine import ACTIVE, Engine, Strategy
 from dali.errors import DaliConfigError, DaliSyntaxError, DaliValidationError
 from dali.model import ACTION, ORDINARY, REACTIVE, AgentProgram, Atom, Clause
+from dali.parser import EventScript, ScriptEntry
 from dali.runtime import (
     ChannelMapping,
     SystemConfig,
@@ -198,6 +200,48 @@ class TestTickLoop:
         runner = SystemRunner(ping_config)
         with pytest.raises(DaliConfigError):
             runner.inject("Nobody", "ping")
+
+    def test_reaction_that_uses_the_whole_budget_ends_quiescent(self, tmp_path):
+        # join, resolve, perform: exactly the budget, and then idle
+        (tmp_path / "a.dali").write_text("agent A. @external go. @action a. go :> a.\n")
+        (tmp_path / "s.events").write_text("0 A go\n")
+        cfg = tmp_path / "sys.system"
+        cfg.write_text("agent a.dali\nscript s.events\nbudget 3\n")
+        result = SystemRunner(load_system_config(cfg)).run()
+        assert [rec.case for _, rec in result.trace] == ["iv", "i", "ii"]
+        assert result.ticks == 1
+        assert result.quiescent
+
+    def test_idle_agents_are_not_run_after_tick_0(self, tmp_path, monkeypatch):
+        (tmp_path / "busy.dali").write_text("agent Busy. @external go. @action a. go :> a.\n")
+        names = ["busy.dali"]
+        for i in range(50):
+            # An attempt of `tired` at tick 0 fails; nothing wakes them after.
+            (tmp_path / f"idle{i}.dali").write_text(
+                f"agent Idle{i}. @external ping. @internal tired.\n"
+                "ping :> noted. noted. tired :- missing.\n"
+            )
+            names.append(f"idle{i}.dali")
+        (tmp_path / "s.events").write_text("0 Busy go\n1 Busy go\n2 Busy go\n6 Busy go\n")
+        cfg = tmp_path / "sys.system"
+        cfg.write_text("".join(f"agent {n}\n" for n in names) + "script s.events\n")
+        runner = SystemRunner(load_system_config(cfg))
+        runs = []
+        engine_run = Engine.run
+
+        def spy(engine, *args):
+            runs.append((runner.tick, engine.program.name))
+            return engine_run(engine, *args)
+
+        monkeypatch.setattr(Engine, "run", spy)
+        result = runner.run()
+        assert result.quiescent and result.ticks == 7
+        assert [tick for tick, name in runs if name == "Busy"] == [0, 1, 2, 6]
+        assert sorted(name for tick, name in runs if tick == 0) == sorted(
+            ["Busy"] + [f"Idle{i}" for i in range(50)]
+        )
+        assert {name for tick, name in runs if tick > 0} == {"Busy"}
+        assert len(dropped(result.warnings)) == 50  # Busy's `a`, once per pair
 
 
 DROPPED = re.compile(
@@ -429,6 +473,206 @@ def test_a_step_returns_none_only_at_quiescence(config, k, m):
             engine.inject(event)
         engine.run()
         assert engine.quiescent, [(r.case, r.selected) for r in engine.records]
+
+
+class EveryAgentRunner:
+    """`SystemRunner` as a loop over every agent: each tick gives every
+    agent its budget, `micro_step` tries every agent round-robin until
+    one steps, and the drop warnings are formatted here from the routes."""
+
+    def __init__(self, config):
+        self.config = config
+        self.tick = 0
+        self.trace = []
+        self.engines = {name: Engine(program) for name, program in config.agents.items()}
+        self.broadcast = runtime._Broadcast(config, "action")
+        self.outbox = []
+        self.micro_idx = 0
+
+    def run_tick(self):
+        for entry in self.config.script.due(self.tick):
+            self.engines[entry.agent].inject(entry.event)
+        deliveries, self.outbox = self.outbox, []
+        for consumer, event in deliveries:
+            self.engines[consumer].inject(event)
+        for name, engine in self.engines.items():
+            for rec in engine.run(self.config.budget):
+                self.trace.append((name, rec))
+                if rec.performed is not None:
+                    self.outbox.extend(self.broadcast.route(name, rec.performed))
+        self.tick += 1
+
+    def run(self) -> bool:
+        """Ticks as `SystemRunner.run` takes them; True if quiescent."""
+        limit = self.config.max_ticks
+        while True:
+            upcoming = self.config.script.next_tick(self.tick)
+            idle = not self.outbox and all(e.quiescent for e in self.engines.values())
+            if (idle and upcoming is None) or self.tick >= limit:
+                return idle and upcoming is None
+            if idle and upcoming > self.tick:
+                if upcoming >= limit:
+                    return False
+                self.tick = upcoming
+            self.run_tick()
+
+    def warnings(self):
+        return tuple(
+            f"action '{a}' by {p} has no external event at {c}; dropped"
+            for (p, a), route in self.broadcast.routes.items()
+            for c in self.config.agents
+            if c != p and c not in dict(route)
+        )
+
+    def step_agent(self, name):
+        rec = self.engines[name].step()
+        if rec is not None:
+            self.trace.append((name, rec))
+            if rec.performed is not None:
+                for consumer, event in self.broadcast.route(name, rec.performed):
+                    self.engines[consumer].inject(event)
+        return rec
+
+    def micro_step(self):
+        names = list(self.engines)
+        for i in range(len(names)):
+            name = names[(self.micro_idx + i) % len(names)]
+            rec = self.step_agent(name)
+            if rec is not None:
+                self.micro_idx = (self.micro_idx + i + 1) % len(names)
+                return name, rec
+        return None
+
+
+@st.composite
+def scripted_systems(draw):
+    """A `routed_systems` config whose agents react to every external
+    event they declare with one of their actions, when they have one
+    (the first reactive rule of an event is its reaction), cut down to
+    its valid agents; with a script over their externals, a budget of
+    1-4 and a tick limit."""
+    config = draw(routed_systems())
+    agents = {}
+    for name, p in config.agents.items():
+        first = tuple(
+            Clause(e, (draw(st.sampled_from(p.actions)),), REACTIVE)
+            for e in p.externals
+            if p.actions
+        )
+        p = AgentProgram(name, first + p.clauses, p.externals, p.internals, p.actions)
+        if model.validate_program(p).ok:
+            agents[name] = p
+    assume(agents)
+    entries = [e for e in config.mapping.entries if e[0] in agents and e[2] in agents]
+    targets = [(n, e) for n, p in agents.items() for e in p.externals]
+    script = []
+    if targets:
+        entry = st.tuples(st.integers(0, 8), st.sampled_from(targets))
+        script = draw(st.lists(entry, min_size=1, max_size=6))
+    script.sort(key=itemgetter(0))
+    return SystemConfig(
+        agents,
+        EventScript(tuple(ScriptEntry(t, a, e) for t, (a, e) in script)),
+        ChannelMapping(tuple(entries)),
+        max_ticks=draw(st.integers(0, 12)),
+        budget=draw(st.integers(1, 4)),
+    )
+
+
+def assert_same_system(runner, ref):
+    assert runner.trace == ref.trace
+    assert runner.warnings() == ref.warnings()
+    assert all(runner.engines[n].state == e.state for n, e in ref.engines.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(scripted_systems())
+def test_run_matches_stepping_every_agent_every_tick(config):
+    runner, ref = SystemRunner(config), EveryAgentRunner(config)
+    result = runner.run()
+    assert result.quiescent == ref.run()
+    assert result.ticks == ref.tick
+    assert result.trace == tuple(ref.trace)
+    assert result.warnings == ref.warnings()
+    assert_same_system(runner, ref)
+
+
+def repl_query(runner, name, atom, steps=3):
+    """The REPL's `query`: a component added past the runner, then
+    stepped through `step_agent` (here at most `steps` times)."""
+    engine = runner.engines[name]
+    index = engine.add_query(atom)
+    for _ in range(steps):
+        if engine.components[index].status != ACTIVE or runner.step_agent(name) is None:
+            break
+
+
+def test_a_query_left_running_wakes_its_agent():
+    program = AgentProgram(
+        "Q",
+        clauses=(Clause(Atom("p"), (Atom("a"), Atom("b"))), Clause(Atom("a")), Clause(Atom("b"))),
+    )
+    runner = SystemRunner(SystemConfig({"Q": program}))
+    assert runner.micro_step() is None
+    repl_query(runner, "Q", Atom("p"), steps=1)
+    assert [rec.selected for _, rec in runner.trace] == ["p"]
+    assert runner.micro_step()[1].selected == "a"
+    result = runner.run()
+    assert result.quiescent and result.ticks == 1
+    assert [rec.selected for _, rec in result.trace] == ["p", "a", "b"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(scripted_systems(), st.data())
+def test_step_calls_match_stepping_every_agent(config, data):
+    """inject / micro_step / step_agent / query calls in any order, then
+    a run, give what a runner that tries every agent gives."""
+    names = st.sampled_from(list(config.agents))
+    events = [(n, e) for n, p in config.agents.items() for e in p.externals]
+    micro = st.just(("micro",))
+    calls = [micro, micro, micro, st.tuples(st.just("step"), names)]
+    calls.append(st.tuples(st.just("query"), names, st.sampled_from(["p", "go"])))
+    if events:
+        calls += [st.sampled_from(events).map(lambda ne: ("inject", *ne))] * 2
+    runner, ref = SystemRunner(config), EveryAgentRunner(config)
+    for call in data.draw(st.lists(st.one_of(calls), min_size=5, max_size=40)):
+        if call[0] == "micro":
+            assert runner.micro_step() == ref.micro_step()
+        elif call[0] == "step":
+            assert runner.step_agent(call[1]) == ref.step_agent(call[1])
+        elif call[0] == "inject":
+            runner.inject(call[1], call[2])
+            ref.engines[call[1]].inject(call[2])
+        else:
+            repl_query(runner, call[1], Atom(call[2]))
+            repl_query(ref, call[1], Atom(call[2]))
+        assert_same_system(runner, ref)
+    result = runner.run()
+    assert result.quiescent == ref.run()
+    assert result.ticks == ref.tick
+    assert_same_system(runner, ref)
+
+
+def test_warnings_format_only_the_newly_routed_actions(scenario_dir, monkeypatch):
+    formatted = []
+    broadcast_warnings = runtime._Broadcast.warnings
+
+    def spy(broadcast, groups):
+        groups = [list(pairs) for pairs in groups]
+        formatted.extend(pair for pairs in groups for pair in pairs)
+        return broadcast_warnings(broadcast, groups)
+
+    monkeypatch.setattr(runtime._Broadcast, "warnings", spy)
+    config = load_system_config(scenario_dir / "ping.system")
+    runner, ref = SystemRunner(config), EveryAgentRunner(config)
+    seen = ()
+    while runner.micro_step() is not None:
+        ref.micro_step()
+        warnings = runner.warnings()
+        assert warnings[: len(seen)] == seen
+        seen = warnings
+    assert seen == ref.warnings() and seen
+    assert formatted == list(runner._broadcast.routes)
 
 
 class TestEvolution:
