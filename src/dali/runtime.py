@@ -1,12 +1,11 @@
 """Multi-agent orchestration.
 
 Agents advance in a deterministic round-robin within discrete ticks.
-Only awake agents are stepped: an agent wakes when an event reaches it
-and sleeps once its engine is quiescent (an O(1) test), so a tick costs
-the work of its busy agents, not the number of agents.  An action
-performed by one agent at tick t becomes an external event in every
-*other* agent's inbox at tick t+1 (never its own), routed through a
-channel mapping that defaults to the identity: the action atom's name
+Only awake agents are stepped: a tick skips every agent whose engine is
+quiescent, an O(1) test, so an idle agent costs a tick one check.  An
+action performed by one agent at tick t becomes an external event in
+every *other* agent's inbox at tick t+1 (never its own), routed through
+a channel mapping that defaults to the identity: the action atom's name
 must be a declared external event of the consumer, otherwise the
 delivery is dropped with a warning.  Actions are routed from the step
 records, whose `performed` names each one; an engine has no other
@@ -36,7 +35,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
 from typing import Iterable
 
@@ -222,7 +220,6 @@ class _Broadcast:
                 self._subscribers.setdefault(e.name, []).append(name)
         # (producer, action) -> (consumer, event) pairs, in first-use order
         self.routes: dict[tuple[str, str], tuple[tuple[str, Atom], ...]] = {}
-        self._tails = [(c, f"{c}; dropped") for c in config.agents]
 
     def route(self, producer: str, action: str) -> tuple[tuple[str, Atom], ...]:
         """The (consumer, event) deliveries of an action, in agent order."""
@@ -246,7 +243,7 @@ class _Broadcast:
         """One warning per dropped delivery of the routed (producer,
         action) pairs, group by group; within a group, consumer-major.
         Each warning joins its pair's prefix to its consumer's tail."""
-        tails = self._tails
+        tails = [(c, f"{c}; dropped") for c in self.agents]
         out: list[str] = []
         for pairs in groups:
             drops = [
@@ -256,12 +253,16 @@ class _Broadcast:
                 )
                 for p, a in pairs
             ]
-            if len(drops) == 1:
+            if len(drops) == 1:  # a lone pair's block, without a loop per consumer
                 [(prefix, skip)] = drops
                 out += [prefix + tail for c, tail in tails if c not in skip]
             else:
-                for c, tail in tails:
-                    out += [prefix + tail for prefix, skip in drops if c not in skip]
+                out += [
+                    prefix + tail
+                    for c, tail in tails
+                    for prefix, skip in drops
+                    if c not in skip
+                ]
         return tuple(out)
 
 
@@ -285,39 +286,30 @@ class SystemRunner:
         self._broadcast = _Broadcast(config, "action")
         self._outbox: list[tuple[str, Atom]] = []  # (consumer, event) due next tick
         self.engines = {name: Engine(program) for name, program in config.agents.items()}
-        self._order = {name: i for i, name in enumerate(self.engines)}
-        # Every engine of an agent not in the set is quiescent.
-        self._awake = {name for name, e in self.engines.items() if not e.quiescent}
+        self._micro_order: list[str] = list(self.engines)
         self._micro_idx = 0
-        self._warnings: tuple[str, ...] = ()  # those of the first `_warned` routes
-        self._warned = 0
 
     # -- tick loop -----------------------------------------------------------
 
     def run_tick(self) -> None:
         """Inject the script's due entries, then the previous tick's
-        deliveries; give each awake agent its step budget, in agent
-        order, queueing the routes of the actions it performs for the
+        deliveries; give each awake (not quiescent) agent its step
+        budget, queueing the routes of the actions it performs for the
         next tick."""
-        engines, awake = self.engines, self._awake
+        engines = self.engines
         for entry in self.config.script.due(self.tick):
             engines[entry.agent].inject(entry.event)
-            awake.add(entry.agent)
         deliveries, self._outbox = self._outbox, []
         for consumer, event in deliveries:
             engines[consumer].inject(event)
-            awake.add(consumer)
         route, outbox, trace = self._broadcast.route, self._outbox, self.trace
-        budget = self.config.budget
-        for name in sorted(awake, key=self._order.__getitem__):
-            engine = engines[name]
-            for rec in engine.run(budget):
+        for name, engine in engines.items():
+            if engine.quiescent:
+                continue
+            for rec in engine.run(self.config.budget):
                 trace.append((name, rec))
                 if rec.performed is not None:
                     outbox.extend(route(name, rec.performed))
-            # A run that used its whole budget may still have ended idle.
-            if engine.quiescent:
-                awake.discard(name)
         self.tick += 1
 
     def run(self) -> SystemResult:
@@ -326,7 +318,7 @@ class SystemRunner:
         limit = self.config.max_ticks
         while True:
             upcoming = self.config.script.next_tick(self.tick)
-            idle = not self._outbox and not self._awake
+            idle = not self._outbox and all(e.quiescent for e in self.engines.values())
             quiescent = idle and upcoming is None
             if quiescent or self.tick >= limit:
                 break
@@ -339,14 +331,8 @@ class SystemRunner:
 
     def warnings(self) -> tuple[str, ...]:
         """One warning per dropped delivery of the actions routed so far.
-        A newly routed action only appends to them, so a call formats
-        only the actions routed since the last one."""
-        routes = self._broadcast.routes
-        if len(routes) > self._warned:
-            new = islice(routes, self._warned, None)
-            self._warnings += self._broadcast.warnings([pair] for pair in new)
-            self._warned = len(routes)
-        return self._warnings
+        A newly routed action only appends to them."""
+        return self._broadcast.warnings([pair] for pair in self._broadcast.routes)
 
     # -- step-granular interface (REPL) ------------------------------------
 
@@ -354,35 +340,26 @@ class SystemRunner:
         if agent not in self.engines:
             raise DaliConfigError(f"unknown agent '{agent}'")
         self.engines[agent].inject(event)
-        self._awake.add(agent)
 
     def step_agent(self, name: str) -> StepRecord | None:
         """One interpreter step of agent `name`, appended to the trace; an
-        action it performs reaches the other agents at once.  The agent
-        is awake afterwards exactly when it is not quiescent, also when
-        work came to its engine past the runner (`Engine.add_query`)."""
-        engine = self.engines[name]
-        rec = engine.step()
+        action it performs reaches the other agents at once."""
+        rec = self.engines[name].step()
         if rec is not None:
             self.trace.append((name, rec))
             if rec.performed is not None:
                 for consumer, event in self._broadcast.route(name, rec.performed):
                     self.engines[consumer].inject(event)
-                    self._awake.add(consumer)
-        if engine.quiescent:
-            self._awake.discard(name)
-        else:
-            self._awake.add(name)
         return rec
 
     def micro_step(self) -> tuple[str, StepRecord] | None:
-        """`step_agent` on the next awake agent, round-robin."""
-        order, start = self._order, self._micro_idx
-        while self._awake:
-            name = min(self._awake, key=lambda a: (order[a] - start) % len(order))
+        """`step_agent` on the next non-quiescent agent, round-robin."""
+        n = len(self._micro_order)
+        for i in range(n):
+            name = self._micro_order[(self._micro_idx + i) % n]
             rec = self.step_agent(name)
             if rec is not None:
-                self._micro_idx = (order[name] + 1) % len(order)
+                self._micro_idx = (self._micro_idx + i + 1) % n
                 return name, rec
         return None
 

@@ -653,28 +653,6 @@ def test_step_calls_match_stepping_every_agent(config, data):
     assert_same_system(runner, ref)
 
 
-def test_warnings_format_only_the_newly_routed_actions(scenario_dir, monkeypatch):
-    formatted = []
-    broadcast_warnings = runtime._Broadcast.warnings
-
-    def spy(broadcast, groups):
-        groups = [list(pairs) for pairs in groups]
-        formatted.extend(pair for pairs in groups for pair in pairs)
-        return broadcast_warnings(broadcast, groups)
-
-    monkeypatch.setattr(runtime._Broadcast, "warnings", spy)
-    config = load_system_config(scenario_dir / "ping.system")
-    runner, ref = SystemRunner(config), EveryAgentRunner(config)
-    seen = ()
-    while runner.micro_step() is not None:
-        ref.micro_step()
-        warnings = runner.warnings()
-        assert warnings[: len(seen)] == seen
-        seen = warnings
-    assert seen == ref.warnings() and seen
-    assert formatted == list(runner._broadcast.routes)
-
-
 class TestEvolution:
     @pytest.mark.parametrize(
         "event,message",
