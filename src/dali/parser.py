@@ -338,12 +338,14 @@ def read_source(path) -> str:
     """The text of a UTF-8 input file, newlines translated as text-mode
     `open` does.  A byte that is not UTF-8 is a syntax error at its line
     and column.  A file that cannot be read (missing, a directory, no
-    permission) is a `DaliError` naming the path."""
+    permission, a NUL byte in its name) is a `DaliError` naming the path."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise DaliError(str(exc)) from None
+    except ValueError as exc:  # "embedded null byte", which names no path
+        raise DaliError(f"{exc}: {str(path)!r}") from None
     try:
         return _universal_newlines(data.decode("utf-8"))
     except UnicodeDecodeError as exc:

@@ -24,10 +24,13 @@ extended alphabet {base atoms} + {past_E} + {now_E}:
     for externals, `E.` for internals, `past_E.` for past events).
 
 The least Herbrand model of P' is the "snapshot" of the agent's behavior
-for that initial situation.  Only the unit clauses depend on it, so a
-caller that needs many snapshots of one agent (`evolve_system`) compiles
-the rule part once into `HornRules` and feeds each situation's
-`unit_names` to it as seeds.
+for that initial situation.  `HornRules` computes it by a watched-atom
+closure: a clause is looked at only once its first body atom holds, so
+the cost follows the clauses that come near firing, and a clause guarded
+by an event that never happens costs nothing.  Only the unit clauses
+depend on the situation, so a caller that needs many snapshots of one
+agent (`evolve_system`) compiles the rules once into `HornRules` and
+feeds each situation's `unit_names` to it as seeds.
 """
 
 from __future__ import annotations
@@ -176,63 +179,77 @@ HornClauses = Iterable[tuple[str, Sequence[str]]]
 
 
 class HornRules:
-    """A plain propositional Horn program compiled for counting
-    (Dowling & Gallier, 1984): the clauses, the number of distinct body
-    atoms of each, the clauses that watch each atom, and the heads of
-    bodyless clauses.  Compiled once, it gives the least model of itself
-    plus any set of seed facts, in time linear in the program and seeds.
+    """A plain propositional Horn program compiled for a watched-atom
+    closure, as with watched literals in SAT solvers (Moskewicz et al.,
+    "Chaff", 2001): a clause of two or more body atoms is kept as it is,
+    under its first body atom; a one-atom clause keeps its head under its
+    atom; a bodyless head is a fact.  Clauses are `(head, body, ...)`
+    sequences, read once.  Never written after compilation, one object
+    gives the least model of itself plus any seeds, closure after
+    closure, in time linear in the seeds and the clauses it fires or
+    whose watched atoms come true."""
 
-    The clauses are `(head, body, ...)` sequences read by position, so
-    the clauses of a `TransformedProgram` are compiled as they are; any
-    other iterable of `(head, body)` pairs is read once.  Only a body of
-    two or more atoms goes through a set, to count its distinct atoms."""
-
-    __slots__ = ("_clauses", "_counts", "_watchers", "_facts")
+    __slots__ = ("_first", "_units", "_facts")
 
     def __init__(self, clauses: TransformedProgram | HornClauses):
         if isinstance(clauses, TransformedProgram):
             clauses = clauses.clauses
-        else:
-            clauses = tuple(clauses)
-        counts: list[int] = []
-        watchers: dict[str, list[int]] = defaultdict(list)
+        first: dict[str, list] = defaultdict(list)
+        units: dict[str, list[str]] = defaultdict(list)
         facts: list[str] = []
-        for i, clause in enumerate(clauses):
+        for clause in clauses:
             body = clause[1]
             if len(body) > 1:
-                unsat = set(body)
-                counts.append(len(unsat))
-                for b in unsat:
-                    watchers[b].append(i)
+                first[body[0]].append(clause)
             elif body:
-                counts.append(1)
-                watchers[body[0]].append(i)
+                units[body[0]].append(clause[0])
             else:
-                counts.append(0)
                 facts.append(clause[0])
-        self._clauses = clauses
-        self._counts = counts
-        self._watchers = watchers
+        self._first = first
+        self._units = units
         self._facts = facts
 
     def closure(self, seeds: Iterable[str] = ()) -> frozenset[str]:
-        """Least model of the rules plus a unit clause per seed: each
-        clause fires when its count of unsatisfied body atoms reaches 0."""
-        clauses, watchers = self._clauses, self._watchers
-        remaining = self._counts.copy()
-        model: set[str] = set()
-        queue = [*self._facts, *seeds]
+        """Least model of the rules plus a unit clause per seed.  A derived
+        atom joins the model at once and is queued; when it is taken from
+        the queue its one-atom clauses fire first, so longer bodies often
+        find their heads true.  A longer clause is scanned from its second
+        atom and waits at the position k of an atom not in the model, to
+        resume at k + 1 when that atom is taken: each body atom is read
+        once.  The two scans are written out because a shared helper made
+        snapshots of many small agents a few percent slower."""
+        first, units = self._first, self._units
+        waiting: dict[str, list] = {}
+        model = {*self._facts, *seeds}
+        queue = list(model)
         while queue:
             atom = queue.pop()
-            if atom in model:
-                continue
-            model.add(atom)
-            for i in watchers.get(atom, ()):
-                remaining[i] -= 1
-                if remaining[i] == 0:
-                    head = clauses[i][0]
-                    if head not in model:
-                        queue.append(head)
+            for head in units.get(atom, ()):
+                if head not in model:
+                    model.add(head)
+                    queue.append(head)
+            for clause in first.get(atom, ()):
+                body = clause[1]
+                for k in range(1, len(body)):
+                    b = body[k]
+                    if b not in model:
+                        waiting.setdefault(b, []).append((clause, k))
+                        break
+                else:
+                    if clause[0] not in model:
+                        model.add(clause[0])
+                        queue.append(clause[0])
+            for clause, k in waiting.pop(atom, ()):
+                body = clause[1]
+                for k in range(k + 1, len(body)):
+                    b = body[k]
+                    if b not in model:
+                        waiting.setdefault(b, []).append((clause, k))
+                        break
+                else:
+                    if clause[0] not in model:
+                        model.add(clause[0])
+                        queue.append(clause[0])
         return frozenset(model)
 
 

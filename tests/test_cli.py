@@ -336,6 +336,19 @@ class TestUnreadableInput:
         reason = f"[Errno {number}] {os.strerror(number)}: '{named}'"
         assert run_cli(capsys, "run", str(cfg)) == (3, "", f"{cfg}:{line}:1: {reason}\n")
 
+    @pytest.mark.parametrize("command", ["run", "repl"])
+    @pytest.mark.parametrize("directive", ["agent", "script"])
+    def test_config_line_naming_a_file_with_a_nul_byte_is_exit_3_at_the_line(
+        self, capsys, tmp_path, command, directive
+    ):
+        # `open` raises ValueError, not OSError, for such a name.
+        (tmp_path / "a.dali").write_text("agent A. @external e. @action x. e :> x.\n")
+        cfg = tmp_path / "t.system"
+        cfg.write_text(f"agent a.dali\n{directive} x\0y.dali\n")
+        named = repr(str(tmp_path / "x\0y.dali"))
+        expected = f"{cfg}:2:1: embedded null byte: {named}\n"
+        assert run_cli(capsys, command, str(cfg)) == (3, "", expected)
+
     @pytest.mark.parametrize("directive", ["agent", "script"])
     def test_syntax_error_in_a_named_file_keeps_its_own_position(
         self, capsys, tmp_path, directive
@@ -647,8 +660,10 @@ class TestUsage:
         assert listed == COMMANDS
         with pytest.raises(SystemExit):
             main(["oracle"])
-        choices = ", ".join(f"'{c}'" for c in COMMANDS)
-        assert f"invalid choice: 'oracle' (choose from {choices})\n" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # argparse quotes each choice on Python 3.11 but not on 3.13.
+        forms = [", ".join(quote % c for c in COMMANDS) for quote in ("'%s'", "%s")]
+        assert any(f"invalid choice: 'oracle' (choose from {f})\n" in err for f in forms)
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -579,15 +579,58 @@ def scripted_systems(draw):
     )
 
 
+@st.composite
+def delivering_systems(draw):
+    """A `scripted_systems` config in which some action is delivered: a
+    producer gets the external `cue`, scripted at tick 0, whose reaction
+    performs an action with no action rule (`emit`, or one it declares),
+    and a map entry sends that action to an external of another agent
+    (a new agent `Sink` when there is none), which gets a reactive rule
+    if it has none: the first of its actions, or `p`.  The tick limit
+    leaves the reaction time to run."""
+    config = draw(scripted_systems())
+    agents = dict(config.agents)
+    producer = draw(st.sampled_from(sorted(agents)))
+    p = agents[producer]
+    free = [a for a in p.actions if p.action_clause(a.name) is None]
+    action = draw(st.sampled_from([Atom("emit"), *free]))
+    cue = Atom("cue")
+    agents[producer] = AgentProgram(
+        producer,
+        (Clause(cue, (action,), REACTIVE), *p.clauses),
+        (cue, *p.externals),
+        p.internals,
+        p.actions if action in p.actions else (*p.actions, action),
+    )
+    others = sorted(n for n in agents if n != producer)
+    consumer = draw(st.sampled_from(others)) if others else "Sink"
+    c = agents.get(consumer, AgentProgram(consumer))
+    event = draw(st.sampled_from([*c.externals, Atom("heard")]))
+    clauses = c.clauses
+    if c.reactive_clause(event.name) is None:
+        clauses += (Clause(event, (c.actions[0] if c.actions else Atom("p"),), REACTIVE),)
+    externals = c.externals if event in c.externals else (*c.externals, event)
+    agents[consumer] = AgentProgram(consumer, clauses, externals, c.internals, c.actions)
+    assert all(model.validate_program(agents[n]).ok for n in (producer, consumer))
+    entry = (producer, action.name, consumer, event.name)
+    config = SystemConfig(
+        agents,
+        EventScript((ScriptEntry(0, producer, cue), *config.script.entries)),
+        ChannelMapping((entry, *config.mapping.entries)),
+        max_ticks=draw(st.integers(8, 16)),
+        budget=config.budget,
+    )
+    config.validate()
+    return config
+
+
 def assert_same_system(runner, ref):
     assert runner.trace == ref.trace
     assert runner.warnings() == ref.warnings()
     assert all(runner.engines[n].state == e.state for n, e in ref.engines.items())
 
 
-@settings(max_examples=200, deadline=None)
-@given(scripted_systems())
-def test_run_matches_stepping_every_agent_every_tick(config):
+def check_run_matches_stepping_every_agent(config):
     runner, ref = SystemRunner(config), EveryAgentRunner(config)
     result = runner.run()
     assert result.quiescent == ref.run()
@@ -595,6 +638,18 @@ def test_run_matches_stepping_every_agent_every_tick(config):
     assert result.trace == tuple(ref.trace)
     assert result.warnings == ref.warnings()
     assert_same_system(runner, ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scripted_systems())
+def test_run_matches_stepping_every_agent_every_tick(config):
+    check_run_matches_stepping_every_agent(config)
+
+
+@settings(max_examples=100, deadline=None)
+@given(delivering_systems())
+def test_run_matches_stepping_every_agent_every_tick_with_a_delivery(config):
+    check_run_matches_stepping_every_agent(config)
 
 
 def repl_query(runner, name, atom, steps=3):
@@ -622,9 +677,7 @@ def test_a_query_left_running_wakes_its_agent():
     assert [rec.selected for _, rec in result.trace] == ["p", "a", "b"]
 
 
-@settings(max_examples=200, deadline=None)
-@given(scripted_systems(), st.data())
-def test_step_calls_match_stepping_every_agent(config, data):
+def check_step_calls_match_stepping_every_agent(config, data):
     """inject / micro_step / step_agent / query calls in any order, then
     a run, give what a runner that tries every agent gives."""
     names = st.sampled_from(list(config.agents))
@@ -651,6 +704,18 @@ def test_step_calls_match_stepping_every_agent(config, data):
     assert result.quiescent == ref.run()
     assert result.ticks == ref.tick
     assert_same_system(runner, ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scripted_systems(), st.data())
+def test_step_calls_match_stepping_every_agent(config, data):
+    check_step_calls_match_stepping_every_agent(config, data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(delivering_systems(), st.data())
+def test_step_calls_match_stepping_every_agent_with_a_delivery(config, data):
+    check_step_calls_match_stepping_every_agent(config, data)
 
 
 class TestEvolution:

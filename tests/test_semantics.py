@@ -271,14 +271,40 @@ def test_transform_repeats_no_clause_and_derives_no_action_from_itself(program):
 # -- compiled rules against the brute-force fixpoint -----------------------
 
 
-@settings(max_examples=150)
-@given(horn, st.lists(st.sets(names, max_size=4), min_size=1, max_size=4))
-def test_compiled_rules_match_naive_fixpoint_for_each_seed_set(clauses, seed_sets):
-    # One compilation serves every seed set, as in evolve_system.
+@st.composite
+def horn_with_seed_sets(draw):
+    """Clauses with bodies of up to 12 atoms over a small alphabet, so
+    bodies repeat atoms and a head often sits in its own body, and seed
+    sets drawn mostly from the atoms the clauses use."""
+    alphabet = [f"a{i}" for i in range(10)]
+    clauses = []
+    for head, body in draw(
+        st.lists(
+            st.tuples(st.sampled_from(alphabet), st.lists(st.sampled_from(alphabet), max_size=12)),
+            max_size=16,
+        )
+    ):
+        if body and draw(st.booleans()):
+            body.insert(draw(st.integers(0, len(body))), head)
+        clauses.append((head, tuple(body)))
+    used = sorted({a for h, b in clauses for a in (h, *b)}) or alphabet
+    seeds = st.lists(st.sampled_from(used) | st.sampled_from(alphabet), max_size=6)
+    return clauses, draw(st.lists(seeds, min_size=5, max_size=8))
+
+
+@settings(max_examples=200)
+@given(horn_with_seed_sets(), st.randoms(use_true_random=False))
+def test_compiled_rules_match_naive_fixpoint_for_each_seed_set(drawn, rnd):
+    # One compilation serves every seed set, as in evolve_system, and no
+    # state carries from one closure to the next: each seed set, taken in
+    # a shuffled order and then again in reverse, gets its own model.
+    clauses, seed_sets = drawn
     rules = HornRules(clauses)
-    for seeds in seed_sets:
-        expected = naive_fixpoint(clauses + [(s, ()) for s in seeds])
-        assert rules.closure(seeds) == expected
+    expected = [naive_fixpoint(clauses + [(s, ()) for s in seeds]) for seeds in seed_sets]
+    order = list(range(len(seed_sets)))
+    rnd.shuffle(order)
+    for i in order + order[::-1]:
+        assert rules.closure(seed_sets[i]) == expected[i]
 
 
 class TestHornRules:
@@ -311,6 +337,46 @@ class TestHornRules:
         pairs = [(c.head, c.body) for c in tp.clauses]
         assert HornRules(tp).closure(seeds) == HornRules(pairs).closure(seeds)
         assert HornRules(tp).closure() == naive_fixpoint(tp)
+
+    def test_a_resumed_scan_reads_on_to_the_last_atom(self):
+        # h waits on b, which a chain derives only after a is taken from
+        # the queue; when b comes true, c still is not.
+        rules = HornRules(
+            [("a", ()), ("p", ("a",)), ("q", ("p",)), ("b", ("q",)), ("h", ("a", "b", "c"))]
+        )
+        assert rules.closure() == {"a", "p", "q", "b"}
+        assert rules.closure(["c"]) == {"a", "p", "q", "b", "c", "h"}
+
+    def test_closure_reads_each_body_atom_at_most_once(self):
+        # `h :- b_0, .., b_{n-1}` plus the chain `b_{i+1} :- b_i`, seeded
+        # with b_0: the long clause waits again each time the chain gets
+        # one or two atoms further, about n / 2 times.  A scan that
+        # restarted each body from its first atom would read about
+        # n * n / 4 atoms.
+        reads = 0
+
+        class CountedBody(tuple):
+            def __getitem__(self, index):
+                nonlocal reads
+                item = super().__getitem__(index)
+                reads += len(item) if isinstance(index, slice) else 1
+                return item
+
+            def __iter__(self):
+                nonlocal reads
+                for atom in super().__iter__():
+                    reads += 1
+                    yield atom
+
+            def __contains__(self, atom):
+                return atom in iter(self)
+
+        n = 2000
+        atoms = [f"b_{i}" for i in range(n)]
+        clauses = [("h", CountedBody(atoms))]
+        clauses += [(atoms[i + 1], CountedBody(atoms[i : i + 1])) for i in range(n - 1)]
+        assert HornRules(clauses).closure([atoms[0]]) == {"h", *atoms}
+        assert reads < 3 * n
 
 
 def test_initial_situation_rejects_present_markers(scenario):
