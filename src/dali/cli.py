@@ -22,7 +22,7 @@ from contextlib import nullcontext
 from .engine import ACTIVE, MAX_STEPS, SUCCEEDED, Strategy, run_agent
 from .errors import DaliError, DaliValidationError
 from .model import validate_program
-from .parser import load_agent_file, parse_init_atoms
+from .parser import load_agent_file, parse_init_atoms, parse_int
 from .runtime import SystemRunner, load_system_config
 from .semantics import render_transformed, snapshot, transform_program
 
@@ -47,20 +47,10 @@ def _warn(warnings) -> None:
         print(f"warning: {w}", file=sys.stderr)
 
 
-def _positive_int(text: str, what: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise DaliError(f"{what} must be an integer, got {text!r}") from None
-    if value < 1:
-        raise DaliError(f"{what} must be >= 1, got {value}")
-    return value
-
-
 def _env_max_steps(default: int) -> int:
     """The DALI_MAX_STEPS step budget, or `default` when it is unset."""
     text = os.environ.get("DALI_MAX_STEPS")
-    return _positive_int(text, "DALI_MAX_STEPS") if text else default
+    return parse_int(text, "DALI_MAX_STEPS", 1, None) if text else default
 
 
 def _strategy(spec: str | None) -> Strategy:
@@ -70,9 +60,9 @@ def _strategy(spec: str | None) -> Strategy:
             key, _, value = part.partition("=")
             key = key.strip()
             if key == "k":
-                kwargs["event_check_period"] = _positive_int(value, "strategy k")
+                kwargs["event_check_period"] = parse_int(value, "strategy k", 1, None)
             elif key == "m":
-                kwargs["internal_check_period"] = _positive_int(value, "strategy m")
+                kwargs["internal_check_period"] = parse_int(value, "strategy m", 1, None)
             else:
                 raise DaliError(f"unknown strategy field {key!r} (use k=..,m=..)")
     return Strategy(**kwargs)
@@ -165,7 +155,7 @@ def cmd_repl(args) -> int:
                 runner.inject(rest[0], rest[1])
                 print(f"injected {rest[1]} -> {rest[0]}")
             elif cmd == "step":
-                n = _positive_int(rest[0], "step count") if rest else 1
+                n = parse_int(rest[0], "step count", 1, None) if rest else 1
                 done = 0
                 for _ in range(n):
                     if runner.micro_step() is None:

@@ -11,8 +11,11 @@ recorded in the trace with a case label:
 
   i    resolve the selected atom with a defining clause (also used for
        past(e) lemma tests, which read the PV set and change nothing);
-  ii   perform an action without preconditions, or record a completed
-       subproof (a performed action and/or a proved internal event);
+  ii   the one effect step: perform an action (selected with no action
+       rule, or at the end of its precondition subproof) or record the
+       internal event a subproof just proved; a performed action that is
+       also an internal event is recorded too, unless that event is
+       pending in IV or already in PV (one live instance);
   iii  test now(e): succeeds while e is pending in EV, consuming nothing;
   iv   join a pending external event as a new reaction component,
        moving it from EV to PV;
@@ -214,17 +217,10 @@ class StepRecord(NamedTuple):
     pv_added: tuple[str, ...] = ()
 
     def trace_dict(self, agent: str) -> dict:
-        return {
-            "step": self.step,
-            "case": self.case,
-            "agent": agent,
-            "selected": self.selected,
-            "component": self.component,
-            "ev": list(self.ev),
-            "iv": list(self.iv),
-            "pv": list(self.pv),
-            "performed": self.performed,
-        }
+        """The `--trace` line of this step, keyed by TRACE_FIELDS."""
+        row = self._asdict()
+        row.update(agent=agent, ev=list(self.ev), iv=list(self.iv), pv=list(self.pv))
+        return {key: row[key] for key in TRACE_FIELDS}
 
 
 class Engine:
@@ -326,7 +322,7 @@ class Engine:
             if rec is not None:
                 return rec
         if ev:
-            return self._join(EXTERNAL_REACTION, "iv")
+            return self._join(EXTERNAL_REACTION)
         return None
 
     def run(self, max_steps: int = MAX_STEPS) -> list[StepRecord]:
@@ -365,7 +361,7 @@ class Engine:
 
     def _internal_phase(self) -> StepRecord | None:
         if self.state.iv:
-            return self._join(INTERNAL_REACTION, "v")
+            return self._join(INTERNAL_REACTION)
         pos = self._find_attempt()
         if pos is None:
             return None
@@ -376,20 +372,20 @@ class Engine:
         comp = self._add_component(INTERNAL_ATTEMPT, atom)
         return self._record("vi", atom.name, comp)
 
-    def _join(self, origin, case) -> StepRecord:
-        """Join the oldest event of EV (an external reaction) or IV as a
-        new reaction component, moving it to PV."""
+    def _join(self, origin) -> StepRecord:
+        """Join the oldest event of EV (an external reaction, case iv) or
+        IV (case v) as a new reaction component, moving it to PV."""
         st = self.state
         if origin == EXTERNAL_REACTION:
             name, event = st.ev.popitem(last=False)
             if self._ev_names is not None:
                 self._ev_names = self._ev_names[1:]
-            ev_removed, iv_removed = (name,), ()
+            case, ev_removed, iv_removed = "iv", (name,), ()
         else:
             name, event = st.iv.popitem(last=False)
             if self._iv_names is not None:
                 self._iv_names = self._iv_names[1:]
-            ev_removed, iv_removed = (), (name,)
+            case, ev_removed, iv_removed = "v", (), (name,)
         pv_added = ()
         if name not in st.pv:
             st.pv.add(name)
@@ -399,7 +395,8 @@ class Engine:
             self._pv_names = tuple(names)
         self._tried.clear()
         self._no_attempt = False
-        comp = self._add_component(origin, event, reaction_pending=True)
+        comp = self._add_component(origin, event)
+        comp.reaction_pending = True
         return self._record(
             case, name, comp,
             ev_removed=ev_removed, iv_removed=iv_removed, pv_added=pv_added,
@@ -485,10 +482,7 @@ class Engine:
             if atom.name in self._act_names:
                 # An action without an action rule always succeeds.
                 self._replace_leftmost(comp, ())
-                iv_added = self._perform(atom)
-                return self._record(
-                    "ii", atom.name, comp, performed=atom.name, iv_added=iv_added
-                )
+                return self._effect(comp, atom, True)
             reason = f"no clause for '{atom.name}'"
 
         # Chronological backtracking: restore the goal as it was and try
@@ -550,10 +544,9 @@ class Engine:
 
     # -- component lifecycle -----------------------------------------------
 
-    def _add_component(self, origin, atom: Atom, reaction_pending=False) -> Component:
+    def _add_component(self, origin, atom: Atom) -> Component:
         comp = Component(
-            len(self.components), origin, atom, (GoalAtom(atom),), (str(atom),),
-            reaction_pending=reaction_pending,
+            len(self.components), origin, atom, (GoalAtom(atom),), (str(atom),)
         )
         self.components.append(comp)
         self._active.append(comp)
@@ -575,34 +568,26 @@ class Engine:
 
     def _completion_step(self) -> StepRecord:
         region = self._pending.pop(0)
-        performed = None
-        if region.perform:
-            performed = region.owner.name
-            iv_added = self._perform(region.owner)
-        else:
-            iv_added = self._record_internal(region.owner)
-        return self._record(
-            "ii", region.owner.name, self.components[region.component],
-            performed=performed, iv_added=iv_added,
-        )
+        comp = self.components[region.component]
+        return self._effect(comp, region.owner, region.perform)
 
-    def _perform(self, atom: Atom) -> tuple[str, ...]:
-        self.state.performed.append(atom)
-        if atom.name in self._int_names:
-            return self._record_internal(atom)
-        return ()
-
-    def _record_internal(self, atom: Atom) -> tuple[str, ...]:
-        # One live instance per conclusion: re-deriving an event that is
-        # still pending, or that the agent already reacted to, does not
-        # queue another reaction.
+    def _effect(self, comp: Component, atom: Atom, perform: bool) -> StepRecord:
+        """The case-ii step: perform the action `atom` if `perform`, and
+        record it in IV if it is an internal event.  One live instance
+        per conclusion: an event still pending in IV, or one the agent
+        already reacted to, does not queue another reaction."""
         name = atom.name
+        if perform:
+            self.state.performed.append(atom)
+        iv_added = ()
         iv = self.state.iv
-        if name in iv or name in self.state.pv:
-            return ()
-        iv[name] = atom
-        self._iv_names = None
-        return (name,)
+        if name in self._int_names and name not in iv and name not in self.state.pv:
+            iv[name] = atom
+            self._iv_names = None
+            iv_added = (name,)
+        return self._record(
+            "ii", name, comp, performed=name if perform else None, iv_added=iv_added
+        )
 
 
 @frozen

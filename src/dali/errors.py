@@ -31,15 +31,16 @@ class SourceSpan:
 
 
 class DaliError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class DaliSyntaxError(DaliError):
-    """Malformed agent file, event script or system config."""
+    """Base class for all errors raised by this package.  An error at a
+    place in an input file has its `span`, which prefixes the message."""
 
     def __init__(self, message: str, span: SourceSpan | None = None):
         self.span = span
         super().__init__(f"{span}: {message}" if span else message)
+
+
+class DaliSyntaxError(DaliError):
+    """Malformed agent file, event script or system config."""
 
 
 class DaliValidationError(DaliError):

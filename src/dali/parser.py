@@ -45,10 +45,11 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
+from dataclasses import field
 from itertools import islice
 from operator import attrgetter
 from string import ascii_letters
-from typing import NoReturn
+from typing import Iterator, NoReturn
 
 from .errors import DaliError, DaliSyntaxError, SourceSpan, frozen
 from .model import (
@@ -228,6 +229,8 @@ class ScriptEntry:
     tick: int
     agent: str
     event: Atom
+    # The script line of the entry, when it was parsed from one.
+    span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
 _TICK = attrgetter("tick")
@@ -258,15 +261,32 @@ class EventScript:
         return self.entries[i].tick if i < len(self.entries) else None
 
 
+def content_lines(text: str, filename: str) -> Iterator[tuple[SourceSpan, str]]:
+    """Each line of an event script or a system config that has content:
+    its first column's span, and its text without `#` comment or blanks."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield SourceSpan(filename, lineno, 1), line
+
+
+def parse_int(text: str, what: str, minimum: int, span: SourceSpan | None) -> int:
+    """`text` as an integer of at least `minimum`; `what` names it in
+    the error, which is at `span` if that is given."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise DaliSyntaxError(f"{what} must be an integer, got {text!r}", span) from None
+    if value < minimum:
+        raise DaliSyntaxError(f"{what} must be >= {minimum}, got {value}", span)
+    return value
+
+
 def parse_event_script(text: str, filename: str = "<string>") -> EventScript:
     """Parse a `TICK AGENT EVENT` script; `#` starts a comment."""
     entries: list[ScriptEntry] = []
     prev = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        span = SourceSpan(filename, lineno, 1)
+    for span, line in content_lines(text, filename):
         parts = line.split()
         if len(parts) != 3:
             raise DaliSyntaxError(
@@ -285,7 +305,7 @@ def parse_event_script(text: str, filename: str = "<string>") -> EventScript:
             )
         if not is_identifier(agent) or not is_identifier(event):
             raise DaliSyntaxError("agent and event must be identifiers", span)
-        entries.append(ScriptEntry(tick, agent, Atom._unchecked(event)))
+        entries.append(ScriptEntry(tick, agent, Atom._unchecked(event), span))
         prev = tick
     return EventScript(tuple(entries))
 
@@ -370,12 +390,14 @@ __all__ = [
     "ScriptEntry",
     "SourceSpan",
     "as_atom",
+    "content_lines",
     "load_agent_file",
     "load_event_script",
     "parse_agent_file",
     "parse_atom_text",
     "parse_event_script",
     "parse_init_atoms",
+    "parse_int",
     "pretty",
     "read_source",
 ]

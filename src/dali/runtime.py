@@ -29,12 +29,17 @@ relative to the config file (`#` comments):
     map <producer>.<action> -> <consumer>.<event>
     max_ticks <N>
     budget <N>        # interpreter steps per agent per tick
+
+`script`, `max_ticks` and `budget` may each appear once, and a missing
+one keeps `SystemConfig`'s default.  An error is reported at its config
+line, and an error in a script entry at its line of the events file.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from pathlib import Path
 from typing import Iterable
 
@@ -43,7 +48,9 @@ from .errors import (
     DaliConfigError, DaliError, DaliSyntaxError, DaliValidationError, SourceSpan, frozen
 )
 from .model import MARKER_PREFIX, PAST, AgentProgram, Atom, validate_program
-from .parser import EventScript, load_agent_file, load_event_script, read_source
+from .parser import (
+    EventScript, content_lines, load_agent_file, load_event_script, parse_int, read_source
+)
 # `evolve_system` compiles each agent's rules once and so never calls
 # `least_model`; the name stays here because bench/tracing.py wraps it.
 from .semantics import (  # noqa: F401
@@ -64,10 +71,12 @@ class ChannelMapping:
 
     Unmapped pairs fall back to the identity: the event keeps the
     action's name.  When entries repeat a (producer, action, consumer)
-    triple, the first one wins.
+    triple, the first one wins.  `spans` holds each entry's config line
+    when the mapping was loaded from a file.
     """
 
     entries: tuple[tuple[str, str, str, str], ...] = ()  # producer, action, consumer, event
+    spans: tuple[SourceSpan, ...] = field(default=(), compare=False, repr=False)
     _index: dict[tuple[str, str], dict[str, str]] = field(
         init=False, repr=False, compare=False
     )
@@ -92,44 +101,41 @@ class SystemConfig:
     budget: int = 50
 
     def validate(self) -> None:
+        """Raise `DaliConfigError` at the first script entry or map entry
+        that names an unknown agent or an undeclared event, at the line it
+        was loaded from, if it was."""
         for entry in self.script.entries:
             if entry.agent not in self.agents:
-                raise DaliConfigError(f"script targets unknown agent '{entry.agent}'")
+                raise DaliConfigError(
+                    f"script targets unknown agent '{entry.agent}'", entry.span
+                )
             program = self.agents[entry.agent]
             if entry.event.name not in program.external_names:
                 raise DaliConfigError(
                     f"script event '{entry.event.name}' is not a declared "
-                    f"external event of agent {entry.agent}"
+                    f"external event of agent {entry.agent}", entry.span
                 )
-        for p, a, c, e in self.mapping.entries:
+        for (p, a, c, e), span in zip_longest(self.mapping.entries, self.mapping.spans):
             if p not in self.agents:
-                raise DaliConfigError(f"map source '{p}' is not a known agent")
+                raise DaliConfigError(f"map source '{p}' is not a known agent", span)
             if c not in self.agents:
-                raise DaliConfigError(f"map target '{c}' is not a known agent")
+                raise DaliConfigError(f"map target '{c}' is not a known agent", span)
             if c == p:
                 raise DaliConfigError(
                     f"map target '{c}' is the producer of '{a}'; "
-                    f"an agent never receives its own actions"
+                    f"an agent never receives its own actions", span
                 )
             if a not in self.agents[p].action_names:
-                raise DaliConfigError(f"'{a}' is not a declared action of agent {p}")
+                raise DaliConfigError(
+                    f"'{a}' is not a declared action of agent {p}", span
+                )
             if e not in self.agents[c].external_names:
                 raise DaliConfigError(
-                    f"'{e}' is not a declared external event of agent {c}"
+                    f"'{e}' is not a declared external event of agent {c}", span
                 )
 
 
 _MAP_RE = re.compile(r"(\w+)\.(\w+)\s*->\s*(\w+)\.(\w+)\Z")
-
-
-def _int_directive(key: str, text: str, minimum: int, span: SourceSpan) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise DaliSyntaxError(f"{key} must be an integer, got {text!r}", span) from None
-    if value < minimum:
-        raise DaliSyntaxError(f"{key} must be >= {minimum}, got {value}", span)
-    return value
 
 
 def _load_named(load, path: Path, span: SourceSpan):
@@ -148,18 +154,15 @@ def load_system_config(path) -> SystemConfig:
     path = Path(path)
     base = path.parent
     agents: dict[str, AgentProgram] = {}
-    script = EventScript()
     mappings: list[tuple[str, str, str, str]] = []
-    max_ticks = 100
-    budget = 50
+    map_spans: list[SourceSpan] = []
+    settings: dict[str, object] = {}  # the script, max_ticks and budget the file sets
 
-    for lineno, raw in enumerate(read_source(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        span = SourceSpan(str(path), lineno, 1)
+    for span, line in content_lines(read_source(path), str(path)):
         key, _, rest = line.partition(" ")
         rest = rest.strip()
+        if key in settings:
+            raise DaliSyntaxError(f"duplicate {key} directive", span)
         if key in ("agent", "script") and not rest:
             raise DaliSyntaxError(f"{key} directive needs a file name", span)
         if key == "agent":
@@ -171,7 +174,7 @@ def load_system_config(path) -> SystemConfig:
                 raise DaliSyntaxError(f"duplicate agent name '{program.name}'", span)
             agents[program.name] = program
         elif key == "script":
-            script = _load_named(load_event_script, base / rest, span)
+            settings[key] = _load_named(load_event_script, base / rest, span)
         elif key == "map":
             m = _MAP_RE.match(rest)
             if m is None:
@@ -179,20 +182,16 @@ def load_system_config(path) -> SystemConfig:
                     "expected 'map producer.action -> consumer.event'", span
                 )
             mappings.append(m.groups())
+            map_spans.append(span)
         elif key == "max_ticks":
-            max_ticks = _int_directive(key, rest, 0, span)
+            settings[key] = parse_int(rest, key, 0, span)
         elif key == "budget":
-            budget = _int_directive(key, rest, 1, span)
+            settings[key] = parse_int(rest, key, 1, span)
         else:
             raise DaliSyntaxError(f"unknown config directive {key!r}", span)
 
-    config = SystemConfig(
-        agents,
-        script,
-        ChannelMapping(tuple(mappings)),
-        max_ticks=max_ticks,
-        budget=budget,
-    )
+    mapping = ChannelMapping(tuple(mappings), tuple(map_spans))
+    config = SystemConfig(agents, mapping=mapping, **settings)
     config.validate()
     return config
 

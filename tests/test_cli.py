@@ -34,6 +34,9 @@ PINNED = [
 ]
 REPL_SESSIONS = [path.stem for path in sorted((ROOT / "scenarios").glob("*.system"))]
 MALFORMED = [path.stem for path in sorted((CLI_DATA / "malformed").glob("*.dali"))]
+MALFORMED_SYSTEMS = [
+    path.stem for path in sorted((CLI_DATA / "malformed").glob("*.system"))
+]
 
 
 def run_cli(capsys, *argv):
@@ -278,8 +281,10 @@ class TestBadIdentifier:
 
 class TestMalformedInput:
     """`dali model` on a file with a form feed, a name that starts with
-    `é`, or a comment that ends the file: exit 3 and one
-    `file:line:column` line, pinned in `malformed/NAME.model.err`."""
+    `é`, or a comment that ends the file, and `dali run` and `dali repl`
+    on a system config whose `map` line names an unknown agent: exit 3
+    and one `file:line:column` line, pinned in `malformed/NAME.model.err`
+    or `malformed/NAME.run.err`."""
 
     @pytest.mark.parametrize("name", MALFORMED)
     def test_exit_3_with_the_pinned_message(self, name):
@@ -287,6 +292,15 @@ class TestMalformedInput:
         err = (CLI_DATA / "malformed" / f"{name}.model.err").read_text(encoding="utf-8")
         assert err.startswith(f"{path}:") and err.count("\n") == 1
         assert pinned_run(name, "model", path) == (3, "", err)
+
+    @pytest.mark.parametrize("command", ["run", "repl"])
+    @pytest.mark.parametrize("name", MALFORMED_SYSTEMS)
+    def test_system_exit_3_with_the_pinned_message(self, monkeypatch, name, command):
+        monkeypatch.setattr("sys.stdin", io.StringIO("quit\n"))
+        path = f"tests/data/cli/malformed/{name}.system"
+        err = (CLI_DATA / "malformed" / f"{name}.run.err").read_text(encoding="utf-8")
+        assert err.startswith(f"{path}:") and err.count("\n") == 1
+        assert pinned_run(name, command, path) == (3, "", err)
 
 
 class TestUnreadableInput:
@@ -486,6 +500,76 @@ class TestSystemConfigIntegers:
         cfg.write_text("agent a.dali\nscript s.events\nmax_ticks 0\nbudget 1\n")
         code, _, _ = run_cli(capsys, "run", str(cfg))
         assert code == 2  # no tick runs, so the event stays pending
+
+
+class TestConfigErrorPositions:
+    """Each check of `SystemConfig.validate` is reported at the `map` line
+    or the events-file line at fault, and a second `script`, `max_ticks`
+    or `budget` line is an error at that line."""
+
+    # id: (config lines after the two agents, s.events, expected stderr)
+    CASES = {
+        "map source": (
+            ["map C.x -> B.f"], "", "sys.system:4:1: map source 'C' is not a known agent"
+        ),
+        "map target": (
+            ["map A.x -> B.f", "  map A.x -> C.f  # no C"],
+            "",
+            "sys.system:5:1: map target 'C' is not a known agent",
+        ),
+        "map to itself": (
+            ["map A.x -> A.e"],
+            "",
+            "sys.system:4:1: map target 'A' is the producer of 'x'; "
+            "an agent never receives its own actions",
+        ),
+        "map action": (
+            ["map A.z -> B.f"], "", "sys.system:4:1: 'z' is not a declared action of agent A"
+        ),
+        "map event": (
+            ["map A.x -> B.g"],
+            "",
+            "sys.system:4:1: 'g' is not a declared external event of agent B",
+        ),
+        "script agent": (
+            ["script s.events"],
+            "0 A e\n# later\n\n2 C e\n",
+            "s.events:4:1: script targets unknown agent 'C'",
+        ),
+        "script event": (
+            ["script s.events"],
+            "0 A e\n1 B e\n",
+            "s.events:2:1: script event 'e' is not a declared external event of agent B",
+        ),
+        "repeated script": (
+            ["script s.events", "script s.events"],
+            "0 A e\n",
+            "sys.system:5:1: duplicate script directive",
+        ),
+        "repeated max_ticks": (
+            ["max_ticks 3", "max_ticks 3"],
+            "",
+            "sys.system:5:1: duplicate max_ticks directive",
+        ),
+        "repeated budget": (
+            ["budget 2", " budget 9 # more"],
+            "",
+            "sys.system:5:1: duplicate budget directive",
+        ),
+    }
+
+    @pytest.mark.parametrize("command", ["run", "repl"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_exit_3_at_the_line(self, capsys, monkeypatch, tmp_path, command, case):
+        lines, events, expected = self.CASES[case]
+        monkeypatch.setattr("sys.stdin", io.StringIO("quit\n"))
+        (tmp_path / "a.dali").write_text("agent A. @external e. @action x. e :> x.\n")
+        (tmp_path / "b.dali").write_text("agent B. @external f. @action y. f :> y.\n")
+        (tmp_path / "s.events").write_text(events)
+        cfg = tmp_path / "sys.system"
+        header = ["# two agents", "agent a.dali", "agent b.dali"]
+        cfg.write_text("".join(line + "\n" for line in header + lines))
+        assert run_cli(capsys, command, str(cfg)) == (3, "", f"{tmp_path}/{expected}\n")
 
 
 class TestMapEntries:
@@ -714,6 +798,11 @@ def write_pinned() -> None:
         code, out, err = pinned_run(name, "model", path)
         assert (code, out) == (3, ""), (name, err)
         (CLI_DATA / "malformed" / f"{name}.model.err").write_text(err, encoding="utf-8")
+    for name in MALFORMED_SYSTEMS:
+        path = f"tests/data/cli/malformed/{name}.system"
+        code, out, err = pinned_run(name, "run", path)
+        assert (code, out) == (3, ""), (name, err)
+        (CLI_DATA / "malformed" / f"{name}.run.err").write_text(err, encoding="utf-8")
 
 
 if __name__ == "__main__":

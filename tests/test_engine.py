@@ -463,6 +463,28 @@ class TestInternalEvents:
         assert r.state.performed_names() == ("r",)
         assert r.state.pv_names() == ("happy",)
 
+    @pytest.mark.parametrize(
+        "text, effects",
+        [
+            (  # an action that is also an internal event, proved twice
+                "agent A. @internal t. @action t. q :- t, t. t :> r. r.",
+                [("t", "t", ("t",)), ("t", "t", ())],
+            ),
+            (  # a pure internal event, proved by the query twice and an attempt
+                "agent A. @internal t. q :- t, t. t :- r. r. t :> s. s.",
+                [("t", None, ("t",)), ("t", None, ()), ("t", None, ())],
+            ),
+        ],
+        ids=["performed", "subproof"],
+    )
+    def test_a_conclusion_pending_in_iv_is_not_queued_again(self, text, effects):
+        r = run_agent(program(text), query="q", strategy=Strategy(1, 1000))
+        assert r.query_succeeded
+        ii = [rec for rec in r.records if rec.case == "ii"]
+        assert [(rec.selected, rec.performed, rec.iv_added) for rec in ii] == effects
+        assert [rec.selected for rec in r.records if rec.case == "v"] == ["t"]
+        replay_deltas(r.records)
+
     def test_anne_reacts_to_her_own_action(self, scenario):
         r = run_agent(scenario("anne"), inbox=[(0, "invitation")])
         assert r.state.performed_names() == ("go_by_car", "ask_susan_to_join")

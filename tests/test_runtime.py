@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dali import model, runtime
 from dali.engine import ACTIVE, Engine, Strategy
-from dali.errors import DaliConfigError, DaliSyntaxError, DaliValidationError
+from dali.errors import DaliConfigError, DaliSyntaxError, DaliValidationError, SourceSpan
 from dali.model import ACTION, ORDINARY, REACTIVE, AgentProgram, Atom, Clause
 from dali.parser import EventScript, ScriptEntry
 from dali.runtime import (
@@ -86,6 +86,31 @@ class TestConfigLoading:
         bad.write_text("agent a.dali\nagent b.dali\nmap A.nope -> B.pong\n")
         with pytest.raises(DaliConfigError, match="not a declared action"):
             load_system_config(bad)
+
+    def test_loaded_entries_keep_their_lines(self, tmp_path):
+        (tmp_path / "a.dali").write_text("agent A. @external e. @action x. e :> x.\n")
+        (tmp_path / "b.dali").write_text("agent B. @external f. f :> r. r.\n")
+        (tmp_path / "s.events").write_text("# start\n0 A e\n")
+        cfg = tmp_path / "sys.system"
+        cfg.write_text("agent a.dali\nagent b.dali\nscript s.events\n\nmap A.x -> B.f\n")
+        config = load_system_config(cfg)
+        [entry] = config.script.entries
+        assert entry.span == SourceSpan(str(tmp_path / "s.events"), 2, 1)
+        assert entry == ScriptEntry(0, "A", Atom("e"))  # the span is not compared
+        assert config.mapping.spans == (SourceSpan(str(cfg), 5, 1),)
+        assert config.mapping == ChannelMapping((("A", "x", "B", "f"),))
+
+    def test_validate_of_a_config_built_in_code_has_no_position(self):
+        agents = {"A": AgentProgram("A", externals=(Atom("e"),), actions=(Atom("x"),))}
+        script = EventScript((ScriptEntry(0, "B", Atom("e")),))
+        mapping = ChannelMapping((("A", "x", "B", "e"),))
+        for config, message in [
+            (SystemConfig(agents, script), "script targets unknown agent 'B'"),
+            (SystemConfig(agents, mapping=mapping), "map target 'B' is not a known agent"),
+        ]:
+            with pytest.raises(DaliConfigError) as exc:
+                config.validate()
+            assert (str(exc.value), exc.value.span) == (message, None)
 
 
 class TestChannelMapping:
@@ -677,9 +702,11 @@ def test_a_query_left_running_wakes_its_agent():
     assert [rec.selected for _, rec in result.trace] == ["p", "a", "b"]
 
 
-def check_step_calls_match_stepping_every_agent(config, data):
+def check_step_calls_match_stepping_every_agent(config, data, cue=None):
     """inject / micro_step / step_agent / query calls in any order, then
-    a run, give what a runner that tries every agent gives."""
+    a run, give what a runner that tries every agent gives.  A `cue`, an
+    (agent, event) pair, is injected first and then drawn as often as
+    any other injection."""
     names = st.sampled_from(list(config.agents))
     events = [(n, e) for n, p in config.agents.items() for e in p.externals]
     micro = st.just(("micro",))
@@ -687,8 +714,10 @@ def check_step_calls_match_stepping_every_agent(config, data):
     calls.append(st.tuples(st.just("query"), names, st.sampled_from(["p", "go"])))
     if events:
         calls += [st.sampled_from(events).map(lambda ne: ("inject", *ne))] * 2
+    first = [] if cue is None else [("inject", *cue)]
+    calls += [st.just(call) for call in first] * 2
     runner, ref = SystemRunner(config), EveryAgentRunner(config)
-    for call in data.draw(st.lists(st.one_of(calls), min_size=5, max_size=40)):
+    for call in first + data.draw(st.lists(st.one_of(calls), min_size=5, max_size=40)):
         if call[0] == "micro":
             assert runner.micro_step() == ref.micro_step()
         elif call[0] == "step":
@@ -715,7 +744,8 @@ def test_step_calls_match_stepping_every_agent(config, data):
 @settings(max_examples=100, deadline=None)
 @given(delivering_systems(), st.data())
 def test_step_calls_match_stepping_every_agent_with_a_delivery(config, data):
-    check_step_calls_match_stepping_every_agent(config, data)
+    producer = config.script.entries[0].agent  # whose `cue` starts the delivery
+    check_step_calls_match_stepping_every_agent(config, data, (producer, Atom("cue")))
 
 
 class TestEvolution:
