@@ -276,8 +276,10 @@ def _validate(p: AgentProgram) -> ValidationReport:
     for name in sorted(reserved.keys() & (events | act)):
         reserved_name(None, name)
 
-    reactive_seen: set[str] = set()
-    action_seen: set[str] = set()
+    # A reactive (action) rule needs a declared event (action) as its
+    # head, a body, and no earlier rule of its kind for that head.  Kind
+    # -> (what its head must be, the declared names, the heads seen).
+    single_rules = {REACTIVE: ("event", events, set()), ACTION: ("action", act, set())}
 
     for i, c in enumerate(p.clauses):
         if c.head.marker != PLAIN:
@@ -285,38 +287,20 @@ def _validate(p: AgentProgram) -> ValidationReport:
             continue
         h = c.head.name
 
-        if c.kind == REACTIVE:
-            if h not in events:
+        if c.kind in single_rules:
+            kind = c.kind
+            role, declared, seen = single_rules[kind]
+            if h not in declared:
                 err(
                     i,
-                    "undeclared-reactive-head",
-                    f"reactive rule for '{h}', which is not a declared event",
+                    f"undeclared-{kind}-head",
+                    f"{kind} rule for '{h}', which is not a declared {role}",
                 )
             if not c.body:
-                err(i, "empty-reactive-body", f"reactive rule for '{h}' has no body")
-            if h in reactive_seen:
-                err(
-                    i,
-                    "multiple-reactive",
-                    f"second reactive rule for '{h}'; only one is allowed",
-                )
-            reactive_seen.add(h)
-        elif c.kind == ACTION:
-            if h not in act:
-                err(
-                    i,
-                    "undeclared-action-head",
-                    f"action rule for '{h}', which is not a declared action",
-                )
-            if not c.body:
-                err(i, "empty-action-body", f"action rule for '{h}' has no body")
-            if h in action_seen:
-                err(
-                    i,
-                    "multiple-action",
-                    f"second action rule for '{h}'; only one is allowed",
-                )
-            action_seen.add(h)
+                err(i, f"empty-{kind}-body", f"{kind} rule for '{h}' has no body")
+            if h in seen:
+                err(i, f"multiple-{kind}", f"second {kind} rule for '{h}'; only one is allowed")
+            seen.add(h)
         else:
             # Ordinary rules may not define externally-driven atoms or
             # actions: externals become true only from outside, actions

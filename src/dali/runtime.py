@@ -21,8 +21,9 @@ once; each round feeds them the unit clauses of the previous round's
 derived events (actions travel to the other agents, internal and past
 events stay home) until the unit clauses stop changing.
 
-System config files are plain text, one directive per line, paths
-relative to the config file (`#` comments):
+System config files are plain text, one directive per line, blanks
+between a directive and its argument, paths relative to the config file
+(`#` comments):
 
     agent <file.dali>
     script <file.events>
@@ -159,8 +160,8 @@ def load_system_config(path) -> SystemConfig:
     settings: dict[str, object] = {}  # the script, max_ticks and budget the file sets
 
     for span, line in content_lines(read_source(path), str(path)):
-        key, _, rest = line.partition(" ")
-        rest = rest.strip()
+        key, *rest = line.split(maxsplit=1)
+        rest = "".join(rest)
         if key in settings:
             raise DaliSyntaxError(f"duplicate {key} directive", span)
         if key in ("agent", "script") and not rest:
@@ -238,31 +239,21 @@ class _Broadcast:
             )
         return route
 
-    def warnings(self, groups: Iterable[Iterable[tuple[str, str]]]) -> tuple[str, ...]:
-        """One warning per dropped delivery of the routed (producer,
-        action) pairs, group by group; within a group, consumer-major.
+    def warnings(self) -> tuple[str, ...]:
+        """One warning per dropped delivery of the routed pairs: pair by
+        pair in first-routed order, each pair's consumers in agent order.
         Each warning joins its pair's prefix to its consumer's tail."""
         tails = [(c, f"{c}; dropped") for c in self.agents]
-        out: list[str] = []
-        for pairs in groups:
-            drops = [
-                (
-                    f"{self.kind} '{a}' by {p} has no external event at ",
-                    {c for c, _ in self.routes[p, a]} | {p},
-                )
-                for p, a in pairs
-            ]
-            if len(drops) == 1:  # a lone pair's block, without a loop per consumer
-                [(prefix, skip)] = drops
-                out += [prefix + tail for c, tail in tails if c not in skip]
-            else:
-                out += [
-                    prefix + tail
-                    for c, tail in tails
-                    for prefix, skip in drops
-                    if c not in skip
-                ]
-        return tuple(out)
+        return tuple(
+            prefix + tail
+            for (p, a), route in self.routes.items()
+            for prefix, skip in [(
+                f"{self.kind} '{a}' by {p} has no external event at ",
+                {c for c, _ in route} | {p},
+            )]
+            for c, tail in tails
+            if c not in skip
+        )
 
 
 @frozen
@@ -331,7 +322,7 @@ class SystemRunner:
     def warnings(self) -> tuple[str, ...]:
         """One warning per dropped delivery of the actions routed so far.
         A newly routed action only appends to them."""
-        return self._broadcast.warnings([pair] for pair in self._broadcast.routes)
+        return self._broadcast.warnings()
 
     # -- step-granular interface (REPL) ------------------------------------
 
@@ -390,7 +381,9 @@ def evolve_system(
     then extracts events for the next round: an agent's derived actions
     become external-event units of every other agent (via the channel
     mapping), its internal events and past events become its own units.
-    Past units accumulate; external units are replaced each round.  Only
+    Past units accumulate; external units are replaced each round.  Drop
+    warnings come in first-routed order: round by round, producers in
+    agent order, each one's actions in declaration order.  Only
     `init` is validated, since the units derived from it are declared
     events by construction; a key of `init` that names no agent is a
     `DaliConfigError`.
@@ -413,7 +406,6 @@ def evolve_system(
     }
     rounds: list[EvolutionRound] = []
     broadcast = _Broadcast(config, "derived action")
-    routed: list[int] = []  # len(broadcast.routes) after each round
     reached_fixpoint = False
 
     for _ in range(MAX_EVOLUTION_ROUNDS):
@@ -434,7 +426,6 @@ def evolve_system(
                 if act.name in mine:
                     for consumer, atom in broadcast.route(name, act.name):
                         nxt[consumer].add(atom)
-        routed.append(len(broadcast.routes))
         next_units = {name: frozenset(atoms) for name, atoms in nxt.items()}
 
         if next_units == units:
@@ -442,11 +433,7 @@ def evolve_system(
             break
         units = next_units
 
-    # The pairs first routed in a round drop consumer-major, as if each
-    # consumer in turn gathered the other agents' derived actions.
-    pairs = list(broadcast.routes)
-    groups = (pairs[i:j] for i, j in zip([0, *routed], routed))
-    return EvolutionTrace(tuple(rounds), reached_fixpoint, broadcast.warnings(groups))
+    return EvolutionTrace(tuple(rounds), reached_fixpoint, broadcast.warnings())
 
 
 __all__ = [

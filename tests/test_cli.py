@@ -502,10 +502,29 @@ class TestSystemConfigIntegers:
         assert code == 2  # no tick runs, so the event stays pending
 
 
+class TestConfigBlanks:
+    def test_blanks_separate_a_directive_from_its_argument(self, capsys, tmp_path):
+        (tmp_path / "p.dali").write_text("agent P. @external go. @action ping. go :> ping.\n")
+        (tmp_path / "q.dali").write_text("agent Q. @external pong. pong :> noted. noted.\n")
+        (tmp_path / "s.events").write_text("0 P go\n")
+        lines = ["agent p.dali", "agent q.dali", "script s.events",
+                 "map P.ping -> Q.pong", "max_ticks 5", "budget 3"]
+        cfg = tmp_path / "sys.system"
+        cfg.write_text("".join(line + "\n" for line in lines))
+        expected = run_cli(capsys, "run", str(cfg))
+        assert expected[0] == 0
+        cfg.write_text("".join(line.replace(" ", "\t", 1) + " \t\n" for line in lines))
+        assert run_cli(capsys, "run", str(cfg)) == expected
+        cfg.write_text("".join(line.replace(" ", " \t ", 1) + "\n" for line in lines))
+        assert run_cli(capsys, "run", str(cfg)) == expected
+
+
 class TestConfigErrorPositions:
     """Each check of `SystemConfig.validate` is reported at the `map` line
-    or the events-file line at fault, and a second `script`, `max_ticks`
-    or `budget` line is an error at that line."""
+    or the events-file line at fault; a second `script`, `max_ticks` or
+    `budget` line, a second agent of one name and a malformed `map` line
+    are errors at their config line, and a malformed entry at its
+    events-file line."""
 
     # id: (config lines after the two agents, s.events, expected stderr)
     CASES = {
@@ -555,6 +574,27 @@ class TestConfigErrorPositions:
             ["budget 2", " budget 9 # more"],
             "",
             "sys.system:5:1: duplicate budget directive",
+        ),
+        "repeated agent": (
+            ["agent a.dali"], "", "sys.system:4:1: duplicate agent name 'A'"
+        ),
+        "malformed map": (
+            ["map A.x B.f"],
+            "",
+            "sys.system:4:1: expected 'map producer.action -> consumer.event'",
+        ),
+        "negative tick": (
+            ["script s.events"], "0 A e\n-1 A e\n", "s.events:2:1: tick -1 is negative"
+        ),
+        "script agent name": (
+            ["script s.events"],
+            "0 A-1 e\n",
+            "s.events:1:1: agent and event must be identifiers",
+        ),
+        "script event name": (
+            ["script s.events"],
+            "# one\n0 A past(e)\n",
+            "s.events:2:1: agent and event must be identifiers",
         ),
     }
 
@@ -708,6 +748,17 @@ class TestRepl:
         )
         assert "injected" not in out
         assert "dali> ev: []" in lines
+
+    def test_unknown_agent_and_blank_lines_keep_session_open(
+        self, capsys, monkeypatch, scenario_dir
+    ):
+        code, out, err = self.drive(
+            capsys, monkeypatch, scenario_dir, "state Marry\nquery Marry p\n\n \t\nquit\n"
+        )
+        assert (code, err) == (0, "")
+        assert out.split("dali> ")[1:] == [
+            "unknown agent 'Marry'\n", "unknown agent 'Marry'\n", "", "", ""
+        ]
 
     def test_unknown_command_help(self, capsys, monkeypatch, scenario_dir):
         code, out, _ = self.drive(capsys, monkeypatch, scenario_dir, "wibble\nquit\n")

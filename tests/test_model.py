@@ -175,6 +175,50 @@ class TestValidation:
         )
         assert "multiple-action" in ids(validate_program(p).errors)
 
+    def test_reactive_and_action_rule_errors_in_clause_order(self):
+        # Clauses built in code, with marked heads and empty bodies that
+        # the parser cannot produce; reactive and action rules keep
+        # separate counts, so `i` may have one of each.
+        p = AgentProgram(
+            "A",
+            (
+                Clause(Atom.past("e"), (Atom("x"),), REACTIVE),
+                Clause(Atom("e"), (), REACTIVE),
+                Clause(Atom("e"), (), REACTIVE),
+                Clause(Atom("z"), (), REACTIVE),
+                Clause(Atom("a"), (), ACTION),
+                Clause(Atom("a"), (Atom("x"),), ACTION),
+                Clause(Atom("b"), (), ACTION),
+                Clause(Atom.now("q"), ()),
+                Clause(Atom("i"), (Atom("a"),), REACTIVE),
+                Clause(Atom("i"), (Atom("x"),), ACTION),
+                Clause(Atom("e"), (Atom("e"),), ACTION),
+            ),
+            externals=(Atom("e"),),
+            internals=(Atom("i"),),
+            actions=(Atom("a"), Atom("i")),
+        )
+        errors = validate_program(p).errors
+        assert [(e.clause_index, e.rule, e.message) for e in errors] == [
+            (0, "marked-head", "clause head past(e) carries a marker"),
+            (1, "empty-reactive-body", "reactive rule for 'e' has no body"),
+            (2, "empty-reactive-body", "reactive rule for 'e' has no body"),
+            (2, "multiple-reactive", "second reactive rule for 'e'; only one is allowed"),
+            (3, "undeclared-reactive-head",
+             "reactive rule for 'z', which is not a declared event"),
+            (3, "empty-reactive-body", "reactive rule for 'z' has no body"),
+            (4, "empty-action-body", "action rule for 'a' has no body"),
+            (5, "multiple-action", "second action rule for 'a'; only one is allowed"),
+            (6, "undeclared-action-head",
+             "action rule for 'b', which is not a declared action"),
+            (6, "empty-action-body", "action rule for 'b' has no body"),
+            (7, "marked-head", "clause head now(q) carries a marker"),
+            (10, "undeclared-action-head",
+             "action rule for 'e', which is not a declared action"),
+            (10, "external-in-body",
+             "external event 'e' used plain in a body; wrap it in past(..) or now(..)"),
+        ]
+
     def test_external_event_plain_in_body(self):
         p = AgentProgram(
             "A",

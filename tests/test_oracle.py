@@ -83,6 +83,22 @@ class TestExhaustiveInterleavings:
         r = exhaustive_interleavings(scenario("henry"))
         assert r.action_multisets == {(), ("sing_a_song",)}
 
+    def test_a_goal_already_being_proved_is_a_dead_branch(self):
+        # Expanding p by `p :- p` leaves p under its own ancestor, which
+        # the search may not expand again: that branch ends with nothing
+        # performed, the other performs a.
+        p = parse_agent_file("agent A. @action a. p :- p. p :- a.")
+        r = exhaustive_interleavings(p, query="p")
+        assert not r.truncated
+        assert r.action_multisets == {(), ("a",)}
+
+    @pytest.mark.parametrize("size, truncated", [(64, False), (65, True)])
+    def test_goal_size_bound_truncates(self, size, truncated):
+        p = parse_agent_file(f"agent A. p :- {', '.join(['q'] * size)}. q.")
+        r = exhaustive_interleavings(p, query="p")
+        assert r.truncated == truncated
+        assert r.action_multisets == (set() if truncated else {()})
+
     def test_state_bound_truncates(self, scenario):
         r = exhaustive_interleavings(
             scenario("anne"), inbox=["invitation"], max_states=5

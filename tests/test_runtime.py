@@ -310,9 +310,10 @@ class TestBroadcastRule:
         assert dropped(trace.warnings) == [("P", "ping", "B")]
 
     def test_first_drop_order_of_two_producers(self, tmp_path):
-        # The tick loop drops in the order actions are performed, each at
-        # the consumers in agent order; evolution drops round by round,
-        # consumer-major within a round.
+        # Both views drop pair by pair in first-routed order, each pair at
+        # the consumers in agent order: the tick loop routes actions as
+        # they are performed, evolution round by round, producers in
+        # agent order.
         (tmp_path / "p.dali").write_text("agent P. @external go. @action ping. go :> ping.\n")
         (tmp_path / "q.dali").write_text("agent Q. @external go. @action bell. go :> bell.\n")
         (tmp_path / "x.dali").write_text(
@@ -340,10 +341,10 @@ class TestBroadcastRule:
             ("X", "shout", "Y"),
         ]
         assert dropped(trace.warnings) == [
-            ("Q", "bell", "P"),
             ("P", "ping", "Q"),
             ("P", "ping", "X"),
             ("P", "ping", "Y"),
+            ("Q", "bell", "P"),
             ("Q", "bell", "Y"),
             ("X", "shout", "P"),
             ("X", "shout", "Q"),
@@ -425,9 +426,10 @@ def routed_systems(draw):
 def test_routes_match_the_brute_force_rule(config):
     broadcast = runtime._Broadcast(config, "action")
     agents = config.agents
+    expected_drops = []
     for p, prog in agents.items():
         for a in prog.actions:
-            received, expected_drops = [], []
+            received = []
             for c, cprog in agents.items():
                 if c == p:
                     continue
@@ -437,7 +439,7 @@ def test_routes_match_the_brute_force_rule(config):
                 else:
                     expected_drops.append((p, a.name, c))
             assert broadcast.route(p, a.name) == tuple(received)
-            assert dropped(broadcast.warnings([[(p, a.name)]])) == expected_drops
+            assert dropped(broadcast.warnings()) == expected_drops
 
 
 def next_units(config, models):
@@ -457,17 +459,25 @@ def next_units(config, models):
     return {name: frozenset(atoms) for name, atoms in out.items()}
 
 
+def draw_init(config, data, max_size=3):
+    """Up to `max_size` initial events or past events of each agent."""
+    init = {}
+    for name, program in config.agents.items():
+        events = sorted(program.event_names)
+        choices = [Atom(e) for e in events] + [Atom.past(e) for e in events]
+        init[name] = (
+            data.draw(st.lists(st.sampled_from(choices), max_size=max_size)) if choices else []
+        )
+    return init
+
+
 @settings(max_examples=150, deadline=None)
 @given(routed_systems(), st.data())
 def test_evolution_rounds_match_a_rebuilt_transform(config, data):
     """Each round's model is the least model of the agent's whole P'
     rebuilt from that round's units, and each round's units follow from
     the previous round's models by the broadcast rule."""
-    init = {}
-    for name, program in config.agents.items():
-        events = sorted(program.event_names)
-        choices = [Atom(e) for e in events] + [Atom.past(e) for e in events]
-        init[name] = data.draw(st.lists(st.sampled_from(choices), max_size=3)) if choices else []
+    init = draw_init(config, data)
     trace = evolve_system(config, init)
     assert trace.rounds[0].units == {n: frozenset(init[n]) for n in config.agents}
     for rnd in trace.rounds:
@@ -481,6 +491,32 @@ def test_evolution_rounds_match_a_rebuilt_transform(config, data):
         assert next_units(config, last.models) == last.units
     else:
         assert len(trace.rounds) == runtime.MAX_EVOLUTION_ROUNDS
+
+
+@settings(max_examples=300, deadline=None)
+@given(routed_systems(), st.data())
+def test_evolution_drops_in_first_derived_order(config, data):
+    """Evolution's warnings, by brute force from the rounds' models:
+    round by round, producers in agent order, derived actions in
+    declaration order, each (producer, action) only when first derived,
+    at the consumers in agent order.  An init of any size lets a round
+    derive several new actions, whose drops must not interleave."""
+    trace = evolve_system(config, draw_init(config, data, max_size=None))
+    expected, seen = [], set()
+    for rnd in trace.rounds:
+        for p, program in config.agents.items():
+            for a in program.actions:
+                if a.name not in rnd.models[p] or (p, a.name) in seen:
+                    continue
+                seen.add((p, a.name))
+                expected += [
+                    (p, a.name, c)
+                    for c, cprog in config.agents.items()
+                    if c != p
+                    and resolve(config.mapping, p, a.name, c) not in cprog.external_names
+                ]
+    assert dropped(trace.warnings) == expected
+    assert all(w.startswith("derived action ") for w in trace.warnings)
 
 
 @settings(max_examples=300, deadline=None)
@@ -706,22 +742,27 @@ def check_step_calls_match_stepping_every_agent(config, data, cue=None):
     """inject / micro_step / step_agent / query calls in any order, then
     a run, give what a runner that tries every agent gives.  A `cue`, an
     (agent, event) pair, is injected first and then drawn as often as
-    any other injection."""
+    any other injection, and so is a run of 1-8 `step_agent` calls on
+    its agent, which a reaction needs to perform an action.  (`st.one_of`
+    draws each distinct strategy equally often.)"""
     names = st.sampled_from(list(config.agents))
     events = [(n, e) for n, p in config.agents.items() for e in p.externals]
-    micro = st.just(("micro",))
-    calls = [micro, micro, micro, st.tuples(st.just("step"), names)]
+    calls = [st.just(("micro",)), st.tuples(st.just("step"), names, st.just(1))]
     calls.append(st.tuples(st.just("query"), names, st.sampled_from(["p", "go"])))
     if events:
-        calls += [st.sampled_from(events).map(lambda ne: ("inject", *ne))] * 2
-    first = [] if cue is None else [("inject", *cue)]
-    calls += [st.just(call) for call in first] * 2
+        calls.append(st.sampled_from(events).map(lambda ne: ("inject", *ne)))
+    first = []
+    if cue is not None:
+        first = [("inject", *cue)]
+        calls.append(st.just(first[0]))
+        calls.append(st.tuples(st.just("step"), st.just(cue[0]), st.integers(1, 8)))
     runner, ref = SystemRunner(config), EveryAgentRunner(config)
     for call in first + data.draw(st.lists(st.one_of(calls), min_size=5, max_size=40)):
         if call[0] == "micro":
             assert runner.micro_step() == ref.micro_step()
         elif call[0] == "step":
-            assert runner.step_agent(call[1]) == ref.step_agent(call[1])
+            for _ in range(call[2]):
+                assert runner.step_agent(call[1]) == ref.step_agent(call[1])
         elif call[0] == "inject":
             runner.inject(call[1], call[2])
             ref.engines[call[1]].inject(call[2])
