@@ -133,7 +133,6 @@ def cmd_repl(args) -> int:
     budget = _env_max_steps(1000)
     runner = SystemRunner(config)
     print(f"agents: {', '.join(runner.engines)}  (inject/step/state/query/quit)")
-    warned = 0  # runner.warnings() printed so far
     while True:
         try:
             sys.stdout.write("dali> ")
@@ -157,42 +156,32 @@ def cmd_repl(args) -> int:
             elif cmd == "step":
                 n = parse_int(rest[0], "step count", 1, None) if rest else 1
                 done = 0
-                for _ in range(n):
-                    if runner.micro_step() is None:
-                        break
+                while done < n and runner.micro_step() is not None:
                     done += 1
                 suffix = "; system quiescent" if done < n else ""
                 print(f"advanced {done} step(s){suffix}")
+            elif ((cmd, len(rest)) in (("state", 1), ("query", 2))
+                  and rest[0] not in runner.engines):
+                print(f"unknown agent '{rest[0]}'")
             elif cmd == "state" and len(rest) == 1:
-                engine = runner.engines.get(rest[0])
-                if engine is None:
-                    print(f"unknown agent '{rest[0]}'")
-                    continue
-                st = engine.state
+                st = runner.engines[rest[0]].state
                 print(f"ev: [{', '.join(st.ev_names())}]")
                 print(f"iv: [{', '.join(st.iv_names())}]")
                 print(f"pv: [{', '.join(st.pv_names())}]")
                 print(f"performed: [{', '.join(st.performed_names())}]")
             elif cmd == "query" and len(rest) == 2:
-                engine = runner.engines.get(rest[0])
-                if engine is None:
-                    print(f"unknown agent '{rest[0]}'")
-                    continue
-                index = engine.add_query(rest[1])
+                engine = runner.engines[rest[0]]
+                comp = engine.components[engine.add_query(rest[1])]
                 for _ in range(budget):
-                    if engine.components[index].status != ACTIVE:
+                    if comp.status != ACTIVE or runner.step_agent(rest[0]) is None:
                         break
-                    if runner.step_agent(rest[0]) is None:
-                        break
-                print("yes." if engine.components[index].status == SUCCEEDED else "no.")
+                print("yes." if comp.status == SUCCEEDED else "no.")
             else:
                 print("commands: inject <agent> <event> | step [n] | "
                       "state <agent> | query <agent> <atom> | quit")
         except DaliError as exc:
             print(f"error: {exc}")
-        warnings = runner.warnings()
-        _warn(warnings[warned:])
-        warned = len(warnings)
+        _warn(runner.new_warnings())
 
 
 class _ArgumentParser(argparse.ArgumentParser):

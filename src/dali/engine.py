@@ -58,7 +58,12 @@ stringifies nothing.
 
 Step records, component outcomes, goal atoms and choice points are
 immutable named tuples (so are the P' clauses of `dali.semantics`):
-each is built by one tuple allocation.  Read their fields by name.
+each is built by one tuple allocation.  Every step builds a record and
+most build goal atoms, so the engine builds them with `tuple.__new__`
+(`_new`) from all their fields in field order, which skips the named
+tuple's Python-level constructor and its cost per call.  A resolution
+with a fact builds no goal atom and so no ancestor set.  The fields keep
+their names, order and defaults: read them by name.
 """
 
 from __future__ import annotations
@@ -99,6 +104,7 @@ TRACE_FIELDS = ("step", "case", "agent", "selected", "component", "ev", "iv", "p
 MAX_STEPS = 10_000
 
 _INDEX = attrgetter("index")
+_new = tuple.__new__  # _new(cls, fields): see the module docstring
 
 
 @frozen
@@ -335,10 +341,10 @@ class Engine:
         return self.records[start:]
 
     def component_outcomes(self) -> tuple[ComponentOutcome, ...]:
-        return tuple(
-            ComponentOutcome(c.index, c.origin, str(c.origin_atom), c.status, c.failure)
+        return tuple([
+            _new(ComponentOutcome, (c.index, c.origin, str(c.origin_atom), c.status, c.failure))
             for c in self.components
-        )
+        ])
 
     # -- the six step kinds -------------------------------------------------
 
@@ -350,12 +356,12 @@ class Engine:
             self._ev_names = tuple(self.state.ev)
         if self._iv_names is None:
             self._iv_names = tuple(self.state.iv)
-        # Positional, in field order; no step adds to EV (`inject` does).
-        rec = StepRecord(
+        # Every field, in field order; no step adds to EV (`inject` does).
+        rec = _new(StepRecord, (
             len(self.records) + 1, case, selected, comp.index, comp.goal,
             self._ev_names, self._iv_names, self._pv_names,
             performed, (), ev_removed, iv_added, iv_removed, pv_added,
-        )
+        ))
         self.records.append(rec)
         return rec
 
@@ -476,7 +482,7 @@ class Engine:
             if candidates:
                 if len(candidates) > 1:
                     comp.choicepoints.append(
-                        _ChoicePoint(comp.atoms, comp.goal, candidates[1:])
+                        _new(_ChoicePoint, (comp.atoms, comp.goal, candidates[1:]))
                     )
                 return self._resolve(comp, candidates[0])
             if atom.name in self._act_names:
@@ -493,7 +499,9 @@ class Engine:
             return None
         comp.atoms, comp.goal = cp.atoms, cp.goal
         if len(cp.candidates) > 1:
-            comp.choicepoints.append(_ChoicePoint(cp.atoms, cp.goal, cp.candidates[1:]))
+            comp.choicepoints.append(
+                _new(_ChoicePoint, (cp.atoms, cp.goal, cp.candidates[1:]))
+            )
         return self._resolve(comp, cp.candidates[0])
 
     def _resolve(self, comp: Component, clause: Clause) -> StepRecord:
@@ -501,12 +509,14 @@ class Engine:
         ga = comp.atoms[0]
         atom = ga.atom
         selected = comp.goal[0]
-        ancestors = ga.ancestors | {atom.name}
         info = self._clause_info.get(id(clause))
         if info is None:
             info = self._clause_info[id(clause)] = self._resolvent_info(clause)
         text, perform = info
-        children = [GoalAtom(b, ancestors) for b in clause.body]
+        children = []
+        if clause.body:  # a fact opens no ancestor set
+            ancestors = ga.ancestors | {atom.name}
+            children = [_new(GoalAtom, (b, ancestors)) for b in clause.body]
         if perform is not None:
             children.append(_Region(atom, comp.index, perform))
         self._replace_leftmost(comp, tuple(children), text)
@@ -546,7 +556,8 @@ class Engine:
 
     def _add_component(self, origin, atom: Atom) -> Component:
         comp = Component(
-            len(self.components), origin, atom, (GoalAtom(atom),), (str(atom),)
+            len(self.components), origin, atom,
+            (_new(GoalAtom, (atom, frozenset())),), (str(atom),)
         )
         self.components.append(comp)
         self._active.append(comp)

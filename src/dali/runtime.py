@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from pathlib import Path
 from typing import Iterable
 
@@ -220,6 +220,9 @@ class _Broadcast:
                 self._subscribers.setdefault(e.name, []).append(name)
         # (producer, action) -> (consumer, event) pairs, in first-use order
         self.routes: dict[tuple[str, str], tuple[tuple[str, Atom], ...]] = {}
+        self.log: tuple[str, ...] = ()  # the drop warnings; it only grows at its end
+        self._logged = 0  # the routes whose warnings are in the log
+        self._tails = [(c, f"{c}; dropped") for c in config.agents]
 
     def route(self, producer: str, action: str) -> tuple[tuple[str, Atom], ...]:
         """The (consumer, event) deliveries of an action, in agent order."""
@@ -239,21 +242,23 @@ class _Broadcast:
             )
         return route
 
-    def warnings(self) -> tuple[str, ...]:
-        """One warning per dropped delivery of the routed pairs: pair by
-        pair in first-routed order, each pair's consumers in agent order.
-        Each warning joins its pair's prefix to its consumer's tail."""
-        tails = [(c, f"{c}; dropped") for c in self.agents]
-        return tuple(
+    def new_warnings(self) -> tuple[str, ...]:
+        """One warning per dropped delivery of the pairs routed since the
+        last call, formatted once and appended to `log`: pair by pair in
+        first-routed order, each pair's consumers in agent order."""
+        new = tuple(
             prefix + tail
-            for (p, a), route in self.routes.items()
+            for (p, a), route in islice(self.routes.items(), self._logged, None)
             for prefix, skip in [(
                 f"{self.kind} '{a}' by {p} has no external event at ",
                 {c for c, _ in route} | {p},
             )]
-            for c, tail in tails
+            for c, tail in self._tails
             if c not in skip
         )
+        self._logged = len(self.routes)
+        self.log += new
+        return new
 
 
 @frozen
@@ -322,7 +327,12 @@ class SystemRunner:
     def warnings(self) -> tuple[str, ...]:
         """One warning per dropped delivery of the actions routed so far.
         A newly routed action only appends to them."""
-        return self._broadcast.warnings()
+        self._broadcast.new_warnings()
+        return self._broadcast.log
+
+    def new_warnings(self) -> tuple[str, ...]:
+        """The warnings added since the previous call of either method."""
+        return self._broadcast.new_warnings()
 
     # -- step-granular interface (REPL) ------------------------------------
 
@@ -433,7 +443,7 @@ def evolve_system(
             break
         units = next_units
 
-    return EvolutionTrace(tuple(rounds), reached_fixpoint, broadcast.warnings())
+    return EvolutionTrace(tuple(rounds), reached_fixpoint, broadcast.new_warnings())
 
 
 __all__ = [

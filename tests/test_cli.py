@@ -5,7 +5,9 @@
 `TestPinnedReplSessions` does the same for a `dali repl` session on every
 `scenarios/*.system` (its input is stored beside its output).  Stderr is
 compared with the `.err` file beside the output where one exists, and
-must be empty where none does.
+must be empty where none does.  `TestReplWarningOrder` pins a session on
+`tests/data/cli/relay/` whose drops are first routed at different
+commands, with stdout and stderr in one transcript.
 Regenerate those files (only when a change of behaviour is intended):
 
     PYTHONPATH=src python tests/test_cli.py
@@ -21,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from dali import runtime
 from dali.cli import main
 from dali.engine import TRACE_FIELDS
 from dali.runtime import load_system_config
@@ -98,6 +101,76 @@ class TestPinnedReplSessions:
         err_file = CLI_DATA / f"{name}.repl.err"
         err = err_file.read_text(encoding="utf-8") if err_file.exists() else ""
         assert pinned_repl(name, session) == (0, out, err)
+
+
+RELAY = CLI_DATA / "relay"
+
+
+def relay_transcript() -> tuple[int, str]:
+    """`dali repl` on the relay system fed its stored session, with
+    stdout and stderr written to one stream in the order printed."""
+    log = io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO((RELAY / "relay.repl.in").read_text(encoding="utf-8"))
+    try:
+        with redirect_stdout(log), redirect_stderr(log):
+            code = main(["repl", str(RELAY / "relay.system")])
+    finally:
+        sys.stdin = stdin
+    return code, log.getvalue()
+
+
+class TestReplWarningOrder:
+    def test_each_warning_follows_the_command_that_first_routed_it(self):
+        log = (RELAY / "relay.repl.log").read_text(encoding="utf-8")
+        assert relay_transcript() == (0, log)
+
+    def test_each_drop_is_formatted_once(self, monkeypatch, tmp_path):
+        """A hub pings ten consumers, and each one's `log_it` is dropped at
+        the ten other agents: 100 drops over many `step 1` commands.  A
+        spy on the formatting of the drop warnings must see each of them
+        exactly once, as the REPL prints it; so must the relay session."""
+        (tmp_path / "hub.dali").write_text(
+            "agent Hub.\n@external kick.\n@action ping.\nkick :> ping.\n"
+        )
+        lines = ["agent hub.dali"]
+        for i in range(10):
+            (tmp_path / f"c{i}.dali").write_text(
+                f"agent C{i}.\n@external ping.\n@action log_it.\nping :> log_it.\n"
+            )
+            lines.append(f"agent c{i}.dali")
+        (tmp_path / "fan.system").write_text("\n".join(lines) + "\n")
+        formatted = []
+
+        class Tail(str):
+            """A warning's ending, `agent; dropped`.  A warning is its
+            prefix plus a Tail, and `str + Tail` calls `Tail.__radd__`, so
+            this sees every warning the broadcast formats."""
+
+            def __radd__(self, prefix):
+                formatted.append(prefix + str(self))
+                return formatted[-1]
+
+        init = runtime._Broadcast.__init__
+
+        def spied_init(self, *args):
+            init(self, *args)
+            self._tails = [(c, Tail(tail)) for c, tail in self._tails]
+
+        monkeypatch.setattr(runtime._Broadcast, "__init__", spied_init)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("inject Hub kick\n" + "step 1\n" * 120))
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            assert main(["repl", str(tmp_path / "fan.system")]) == 0
+        printed = err.getvalue().splitlines()
+        assert len(printed) == 100
+        assert printed == [f"warning: {w}" for w in formatted]
+
+        formatted.clear()
+        code, log = relay_transcript()
+        printed = [line for line in log.splitlines() if line.startswith("warning: ")]
+        assert len(printed) == 6
+        assert printed == [f"warning: {w}" for w in formatted]
 
 
 class TestModel:
@@ -844,6 +917,9 @@ def write_pinned() -> None:
         (CLI_DATA / f"{name}.repl.out").write_text(out, encoding="utf-8")
         if err:
             (CLI_DATA / f"{name}.repl.err").write_text(err, encoding="utf-8")
+    code, log = relay_transcript()
+    assert code == 0, log
+    (RELAY / "relay.repl.log").write_text(log, encoding="utf-8")
     for name in MALFORMED:
         path = f"tests/data/cli/malformed/{name}.dali"
         code, out, err = pinned_run(name, "model", path)

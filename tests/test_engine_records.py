@@ -14,6 +14,10 @@ after a backtrack.  On these runs a step returns None exactly when the engine
 is quiescent.
 `run_agent` must also give, on random inboxes and budgets, what a loop
 of single steps under the same delivery rule gives.
+The engine builds its named tuples positionally, with `tuple.__new__`,
+which checks neither the number nor the order of the fields: on the same
+runs and on every bundled system, each one it builds must be whole, and
+each field must hold what its name says.
 
 Regenerate the files (only when a change of behaviour is intended):
 
@@ -30,18 +34,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dali.engine
 from dali.engine import (
     ACTIVE,
     FAILED,
     INTERNAL_ATTEMPT,
     SUCCEEDED,
+    ComponentOutcome,
     Engine,
     GoalAtom,
+    StepRecord,
     Strategy,
+    _ChoicePoint,
+    _Region,
     run_agent,
 )
-from dali.model import PLAIN
+from dali.model import PLAIN, Atom, Clause
 from dali.parser import as_atom, load_agent_file, load_event_script, parse_agent_file
+from dali.runtime import SystemRunner, load_system_config
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -294,6 +304,104 @@ def test_run_agent_matches_the_single_step_loop(run):
     assert result.outcomes == engine.component_outcomes()
     assert result.state == engine.state
     assert result.truncated == truncated
+
+
+def of(t):
+    return lambda v: type(v) is t
+
+
+def tuple_of(*types):
+    return lambda v: type(v) is tuple and all(type(x) in types for x in v)
+
+
+def optional_name(v) -> bool:
+    return v is None or type(v) is str
+
+
+# What each field of each named tuple the engine builds must hold.
+names = tuple_of(str)
+FIELD_CHECKS = {
+    StepRecord: (of(int), of(str), of(str), of(int), names, names, names, names,
+                 optional_name, names, names, names, names, names),
+    GoalAtom: (of(Atom), lambda v: type(v) is frozenset and all(type(x) is str for x in v)),
+    _ChoicePoint: (tuple_of(GoalAtom, _Region), names, lambda v: bool(v) and tuple_of(Clause)(v)),
+    ComponentOutcome: (of(int), of(str), of(str), of(str), optional_name),
+}
+
+
+def check_whole(value) -> None:
+    cls = type(value)
+    assert len(value) == len(cls._fields), value
+    assert value == cls(*value), value
+    assert len(FIELD_CHECKS[cls]) == len(cls._fields)
+    for name, check, field_value in zip(cls._fields, FIELD_CHECKS[cls], value):
+        assert check(field_value), (cls.__name__, name, field_value)
+
+
+def check_record_fields(engine: Engine, rec: StepRecord, before) -> None:
+    """The fields of a step's record against the engine right after the
+    step, and its deltas against the event sets right before it."""
+    st = engine.state
+    ev, iv, pv, performed = before
+    assert rec.step == len(engine.records) and rec is engine.records[-1]
+    assert rec.goal == engine.components[rec.component].goal
+    assert (rec.ev, rec.iv, rec.pv) == (tuple(st.ev), tuple(st.iv), tuple(sorted(st.pv)))
+    assert rec.ev_added == ()
+    assert rec.ev_removed == tuple(n for n in ev if n not in st.ev)
+    assert rec.iv_added == tuple(n for n in st.iv if n not in iv)
+    assert rec.iv_removed == tuple(n for n in iv if n not in st.iv)
+    assert rec.pv_added == tuple(sorted(st.pv - pv))
+    assert (rec.performed,) == (st.performed_names()[len(performed):] or (None,))
+
+
+def check_every_build(monkeypatch) -> list:
+    """From now on, keep every tuple the engine builds with `_new`, and
+    check each step's record against the engine's state."""
+    built = []
+    new, step = dali.engine._new, Engine.step
+
+    def kept(cls, fields):
+        value = new(cls, fields)
+        built.append(value)
+        return value
+
+    def checked_step(self):
+        st = self.state
+        before = (tuple(st.ev), tuple(st.iv), set(st.pv), st.performed_names())
+        rec = step(self)
+        if rec is not None:
+            check_whole(rec)
+            check_record_fields(self, rec, before)
+        return rec
+
+    monkeypatch.setattr(dali.engine, "_new", kept)
+    monkeypatch.setattr(Engine, "step", checked_step)
+    return built
+
+
+SYSTEMS = sorted(SCENARIOS.glob("*.system"))
+
+
+def test_every_positionally_built_tuple_is_whole(monkeypatch):
+    """Every run above, every bundled system run to quiescence, and the
+    component outcomes of each; between them the runs build all four
+    named tuples, choice points included."""
+    built = check_every_build(monkeypatch)
+    outputs = []
+    for _, program, query, inbox in RUNS:
+        result = run_agent(program, query=query, inbox=inbox)
+        outputs += result.records + result.outcomes
+    for path in SYSTEMS:
+        runner = SystemRunner(load_system_config(path))
+        result = runner.run()
+        outputs += [rec for _, rec in result.trace]
+        for engine in runner.engines.values():
+            outputs += engine.component_outcomes()
+    assert {type(v) for v in built} == set(FIELD_CHECKS)
+    ids = {id(v) for v in built}
+    assert all(id(v) in ids for v in outputs)
+    for value in built:
+        check_whole(value)
 
 
 def write() -> None:
