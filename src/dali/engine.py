@@ -38,23 +38,32 @@ external event joins.  Periods shape priority only; whenever the
 preferred work is absent, any applicable step fires, so the interpreter
 never idles while work remains.
 
-A step's bookkeeping depends on neither the run's history nor the size
-of EV, IV or the goal, apart from copying the one tuple the step changes
-(a goal, or an event-name tuple), which Python does without a loop of
-its own.  Finished components leave the round-robin list and running
-attempts are a live set.  Once a search for an attempt comes up empty
-the engine remembers it until an arrival, a join or the end of an
-attempt, so `quiescent` and the step of an idle engine cost O(1).  EV
-and IV are insertion-ordered sets keyed by event name, so an arrival, a
-coalesced duplicate, a join of the oldest event and a now(..) test are
-each one dictionary operation; PV is the set of event names the agent
-reacted to, and past(..) tests and attempt choices look names up in
-it.  The EV, IV and sorted PV name tuples change only when their set
-does (a join slices one name off; a burst of arrivals costs one
-rebuild), and every record in between shares them.
-Each component keeps its goal's text beside its goal, and the engine
-keeps each clause's body text once it has resolved with it, so a rewrite
-stringifies nothing.
+A step's bookkeeping depends on neither the run's history, the depth of
+the proof nor the size of EV or IV.  What still grows is the copy of
+the one tuple the step changes, which Python makes without a loop of
+its own: a resolution copies the rest of the goal, so a step of a long
+conjunction costs more the longer it is, and a join or an effect copies
+an event-name tuple.  The loop check's ancestors are an int bit set: a
+name gets its bit the first time it is resolved with a body, so adding
+the selected atom is one `|` and the check one lookup and one `&`, on
+ints no wider than the program has names, and all atoms of a body share
+one set.  Finished components
+leave the round-robin list and release their goal and choice points,
+keeping only their outcome, and running attempts are a live set.  Once
+a search for an attempt comes up empty the engine remembers it until an
+arrival, a join or the end of an attempt, so `quiescent` and the step
+of an idle engine cost O(1).  EV and IV are insertion-ordered sets
+keyed by event name, so an arrival, a coalesced duplicate, a join of
+the oldest event and a now(..) test are each one dictionary operation;
+PV is the set of event names the agent reacted to, and past(..) tests
+and attempt choices look names up in it.  The EV, IV and sorted PV name
+tuples change only when their set does (a join slices one name off; a
+burst of arrivals costs one rebuild), and every record in between
+shares them.
+Each component keeps its goal's text beside its goal.  A clause's body
+text, the subproof it opens and its head's ancestor bit are derived the
+first time any engine of the program resolves with it, and kept on the
+program for all its engines, so a rewrite stringifies nothing.
 
 Step records, component outcomes, goal atoms and choice points are
 immutable named tuples (so are the P' clauses of `dali.semantics`):
@@ -78,6 +87,7 @@ from .errors import DaliValidationError, frozen
 from .model import (
     ACTION,
     PAST,
+    PLAIN,
     PRESENT,
     REACTIVE,
     AgentProgram,
@@ -127,10 +137,11 @@ class Strategy:
 
 
 class GoalAtom(NamedTuple):
-    """One pending subgoal: the atom and its proof ancestors (loop check)."""
+    """One pending subgoal: the atom and its proof ancestors (loop check),
+    an int bit set over the names of its program (see `Engine._resolvent`)."""
 
     atom: Atom
-    ancestors: frozenset[str] = frozenset()
+    ancestors: int = 0
 
 
 @dataclass(slots=True)
@@ -157,11 +168,14 @@ class Component:
     index: int
     origin: str
     origin_atom: Atom
+    origin_text: str  # str(origin_atom)
     atoms: tuple[GoalAtom | _Region, ...]
     goal: tuple[str, ...]  # the text of each GoalAtom in atoms, in order
     status: str = ACTIVE
     reaction_pending: bool = False
-    choicepoints: list[_ChoicePoint] = field(default_factory=list)
+    # A list from the first real choice on.  `_finish` releases atoms,
+    # goal and choice points: a finished component keeps its outcome.
+    choicepoints: list[_ChoicePoint] | tuple[()] = ()
     failure: str | None = None
 
 
@@ -265,9 +279,11 @@ class Engine:
         self._no_attempt = False
         self._int_names = program.internal_names
         self._act_names = program.action_names
-        # Per clause resolved with so far, keyed by identity (the program
-        # holds every clause, so no id is reused): `_resolvent_info`.
-        self._clause_info: dict[int, tuple[tuple[str, ...], bool | None]] = {}
+        self._defining = program._defining
+        # Shared by every engine of the program (see `_resolvent`): each
+        # clause's resolvent info by identity (the program holds every
+        # clause, so no id is reused) and each name's ancestor bit.
+        self._resolvents, self._bits = program._resolution
 
     # -- inputs ----------------------------------------------------------
 
@@ -288,7 +304,8 @@ class Engine:
 
     def add_query(self, atom: Atom | str) -> int:
         """Add a user query as a new component; returns its index."""
-        return self._add_component(QUERY, as_atom(atom)).index
+        atom = as_atom(atom)
+        return self._add_component(QUERY, atom, str(atom)).index
 
     # -- stepping ----------------------------------------------------------
 
@@ -342,7 +359,7 @@ class Engine:
 
     def component_outcomes(self) -> tuple[ComponentOutcome, ...]:
         return tuple([
-            _new(ComponentOutcome, (c.index, c.origin, str(c.origin_atom), c.status, c.failure))
+            _new(ComponentOutcome, (c.index, c.origin, c.origin_text, c.status, c.failure))
             for c in self.components
         ])
 
@@ -375,7 +392,7 @@ class Engine:
         atom = internals[pos]
         self._attempt_cursor = (pos + 1) % len(internals)
         self._tried.add(atom.name)
-        comp = self._add_component(INTERNAL_ATTEMPT, atom)
+        comp = self._add_component(INTERNAL_ATTEMPT, atom, atom.name)
         return self._record("vi", atom.name, comp)
 
     def _join(self, origin) -> StepRecord:
@@ -401,7 +418,7 @@ class Engine:
             self._pv_names = tuple(names)
         self._tried.clear()
         self._no_attempt = False
-        comp = self._add_component(origin, event)
+        comp = self._add_component(origin, event, name)
         comp.reaction_pending = True
         return self._record(
             case, name, comp,
@@ -475,15 +492,17 @@ class Engine:
             if clause is not None:
                 return self._resolve(comp, clause)
             reason = f"event '{atom.name}' has no reactive rule"
-        elif atom.name in ga.ancestors:
+        elif ga.ancestors & self._bits.get(atom.name, 0):
             reason = f"loop detected on '{atom.name}'"
         else:
-            candidates = self.program.defining_clauses(atom.name)
+            candidates = self._defining.get(atom.name, ())
             if candidates:
                 if len(candidates) > 1:
-                    comp.choicepoints.append(
-                        _new(_ChoicePoint, (comp.atoms, comp.goal, candidates[1:]))
-                    )
+                    cp = _new(_ChoicePoint, (comp.atoms, comp.goal, candidates[1:]))
+                    if comp.choicepoints:
+                        comp.choicepoints.append(cp)
+                    else:
+                        comp.choicepoints = [cp]
                 return self._resolve(comp, candidates[0])
             if atom.name in self._act_names:
                 # An action without an action rule always succeeds.
@@ -507,34 +526,37 @@ class Engine:
     def _resolve(self, comp: Component, clause: Clause) -> StepRecord:
         """SLD step: replace the selected atom with the clause body."""
         ga = comp.atoms[0]
-        atom = ga.atom
         selected = comp.goal[0]
-        info = self._clause_info.get(id(clause))
-        if info is None:
-            info = self._clause_info[id(clause)] = self._resolvent_info(clause)
-        text, perform = info
+        text, perform, bit = self._resolvents.get(id(clause)) or self._resolvent(clause)
         children = []
         if clause.body:  # a fact opens no ancestor set
-            ancestors = ga.ancestors | {atom.name}
+            ancestors = ga.ancestors | bit
             children = [_new(GoalAtom, (b, ancestors)) for b in clause.body]
         if perform is not None:
-            children.append(_Region(atom, comp.index, perform))
+            children.append(_Region(ga.atom, comp.index, perform))
         self._replace_leftmost(comp, tuple(children), text)
         return self._record("i", selected, comp)
 
-    def _resolvent_info(self, clause: Clause) -> tuple[tuple[str, ...], bool | None]:
-        """A clause's body text, and whether resolving with it opens a
-        subproof that performs its head (True), records it (False) or
-        neither (None).  The selected atom is always the clause's head."""
-        text = tuple(map(str, clause.body))
+    def _resolvent(self, clause: Clause) -> tuple[tuple[str, ...], bool | None, int]:
+        """Derive and keep a clause's resolvent info: its body text;
+        whether resolving with it opens a subproof that performs its head
+        (True), records it (False) or neither (None); and its head's
+        ancestor bit, which a name gets the first time it is resolved
+        with a body (0 for a fact).  The selected atom is always the
+        clause's head."""
+        head, body = clause.head.name, clause.body
+        text = tuple([a.name if a.marker == PLAIN else str(a) for a in body])
+        perform = None
         if clause.kind == ACTION:
-            return text, True
-        if clause.kind != REACTIVE and clause.head.name in self._int_names:
+            perform = True
+        elif clause.kind != REACTIVE and head in self._int_names:
             # A proved internal event must be recorded; nest its subproof.
             # Resolving with the reactive rule is the reaction itself, so
             # it must not re-record the event.
-            return text, False
-        return text, None
+            perform = False
+        bit = self._bits.setdefault(head, 1 << len(self._bits)) if body else 0
+        info = self._resolvents[id(clause)] = (text, perform, bit)
+        return info
 
     def _replace_leftmost(self, comp: Component, children, text=()) -> None:
         """Replace the selected atom with children, whose goal atoms read
@@ -554,10 +576,10 @@ class Engine:
 
     # -- component lifecycle -----------------------------------------------
 
-    def _add_component(self, origin, atom: Atom) -> Component:
+    def _add_component(self, origin, atom: Atom, text: str) -> Component:
+        """A new active component whose goal is `atom`, which reads `text`."""
         comp = Component(
-            len(self.components), origin, atom,
-            (_new(GoalAtom, (atom, frozenset())),), (str(atom),)
+            len(self.components), origin, atom, text, (_new(GoalAtom, (atom, 0)),), (text,)
         )
         self.components.append(comp)
         self._active.append(comp)
@@ -567,9 +589,11 @@ class Engine:
 
     def _finish(self, comp: Component, status: str, failure: str | None = None) -> None:
         """The only change of a component's status: it leaves the active
-        list and, for an attempt, the running attempts."""
+        list and, for an attempt, the running attempts, and releases its
+        goal and choice points."""
         comp.status = status
         comp.failure = failure
+        comp.atoms = comp.goal = comp.choicepoints = ()
         del self._active[bisect_left(self._active, comp.index, key=_INDEX)]
         if comp.origin == INTERNAL_ATTEMPT:
             self._attempting.discard(comp.origin_atom.name)

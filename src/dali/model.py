@@ -130,9 +130,10 @@ class AgentProgram:
     Role sets keep declaration order (it drives the interpreter's
     round-robin over internal events) but behave as sets: duplicates are
     dropped on construction.  The program is immutable, so the name sets
-    and the head-name clause indexes are built once, here, and the
-    validation report on the first `validate_program` call; none of them
-    is part of equality, hashing or repr.
+    and the head-name clause indexes are built once, here, the
+    validation report on the first `validate_program` call and what
+    resolution with each clause needs on its first use by an engine;
+    none of them is part of equality, hashing or repr.
     """
 
     name: str
@@ -150,6 +151,7 @@ class AgentProgram:
         init=False, repr=False, compare=False
     )
     _report: ValidationReport | None = field(init=False, repr=False, compare=False)
+    _resolution: tuple[dict, dict] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         setattr_ = object.__setattr__
@@ -179,6 +181,8 @@ class AgentProgram:
         setattr_(self, "_action", action)
         setattr_(self, "_defining", {h: tuple(cs) for h, cs in defining.items()})
         setattr_(self, "_report", None)
+        # Filled by `dali.engine` as its engines resolve with the clauses.
+        setattr_(self, "_resolution", ({}, {}))
 
     # -- clause lookup ----------------------------------------------------
 

@@ -1,4 +1,7 @@
+import dataclasses
+import importlib
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +27,9 @@ from dali.model import AgentProgram, Atom, Clause, REACTIVE
 from dali.oracle import naive_fixpoint
 from dali.parser import parse_agent_file
 from dali.semantics import RULE_ACTION, TransformedClause
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def program(text: str) -> AgentProgram:
@@ -100,6 +106,61 @@ class TestPlainResolution:
         assert r.query_succeeded is False
         assert r.outcomes[0].status == FAILED
         assert "loop" in r.outcomes[0].failure
+
+    # A loop check that forgot all but the nearest ancestor would run the
+    # loops below until the step budget, so each test asserts the outcome
+    # of a run that the budget does not cut.
+
+    def test_mutual_recursion_fails_by_loop_check(self):
+        r = run_agent(program("agent A. p :- q. q :- p."), query="p")
+        assert not r.truncated
+        assert r.outcomes[0].failure == "loop detected on 'p'"
+        assert [rec.selected for rec in r.records] == ["p", "q"]
+
+    @pytest.mark.parametrize("text,selected", [
+        ("agent A. p :- q, q. q.", ["p", "q", "q"]),
+        # Each q first loops back through r; the second q's ancestors
+        # are p's, not those of the first q's finished subproof.
+        ("agent A. p :- q, q. q :- r. q :- s. r :- q. s.",
+         ["p", "q", "r", "q", "s", "q", "r", "q", "s"]),
+    ])
+    def test_siblings_are_not_ancestors(self, text, selected):
+        r = run_agent(program(text), query="p")
+        assert not r.truncated
+        assert r.query_succeeded
+        assert [rec.selected for rec in r.records] == selected
+
+    def test_a_loop_branch_backtracks_to_the_next_clause(self):
+        r = run_agent(program("agent A. p :- q. q :- p. q."), query="p")
+        assert not r.truncated
+        assert r.query_succeeded
+        assert [(rec.selected, rec.goal) for rec in r.records] == [
+            ("p", ("q",)), ("q", ("p",)), ("q", ()),  # p looped: q's second clause
+        ]
+
+    def test_a_loop_through_a_nested_internal_event_subproof(self):
+        """p's proof needs the internal event e, whose subproof needs p:
+        the query and e's own attempt each fail on their loop, and e is
+        never recorded."""
+        r = run_agent(program("agent A. @internal e. p :- e. e :- p."), query="p")
+        assert not r.truncated
+        assert [(o.origin, o.atom, o.failure) for o in r.outcomes] == [
+            (QUERY, "p", "loop detected on 'p'"),
+            (INTERNAL_ATTEMPT, "e", "loop detected on 'e'"),
+        ]
+        assert "ii" not in [rec.case for rec in r.records]
+        assert r.state.iv_names() == r.state.pv_names() == ()
+
+    def test_a_loop_deeper_than_64_ancestors_is_detected(self):
+        """q_0 :- q_1 .. q_99 :- q_100, closed by q_100 :- q_0: the query
+        fails at q_0 once 101 names are its ancestors."""
+        text = "agent A. " + " ".join(f"q_{i} :- q_{i + 1}." for i in range(100))
+        engine = Engine(program(text + " q_100 :- q_0."))
+        q = engine.add_query("q_0")
+        records = engine.run()
+        assert engine.components[q].failure == "loop detected on 'q_0'"
+        assert [rec.selected for rec in records] == [f"q_{i}" for i in range(101)]
+        assert len(engine._bits) == 101  # one ancestor bit per name
 
     def test_empty_program_query_fails_without_steps(self):
         r = run_agent(program("agent A."), query="p")
@@ -544,6 +605,29 @@ class TestRunDriver:
         with pytest.raises(DaliValidationError):
             Engine(bad)
 
+    def test_resolvent_info_is_derived_once_per_program(self, monkeypatch):
+        """Every engine of a program shares its clauses' resolvent info:
+        50 runs of the benchmark's `wide_program` (seed 1) derive it for
+        each of the 589 clauses they resolve with, once.  A replaced
+        program has its own, since its role sets may differ."""
+        monkeypatch.syspath_prepend(BENCH)
+        w = importlib.import_module("workloads").wide_program(1)
+        wide = program(w.files[w.agent_file])
+        derived = []
+        resolvent = Engine._resolvent
+
+        def counted(self, clause):
+            derived.append(id(clause))
+            return resolvent(self, clause)
+
+        monkeypatch.setattr(Engine, "_resolvent", counted)
+        inbox = [(0, e) for e in w.inbox]
+        for _ in range(50):
+            assert run_agent(wide, query=w.query, inbox=inbox).query_succeeded
+        assert len(derived) == len(set(derived)) == 589
+        assert run_agent(dataclasses.replace(wide), query=w.query, inbox=inbox).query_succeeded
+        assert len(derived) == 2 * 589
+
     def test_outcome_listing(self, scenario):
         r = run_agent(scenario("henry"), query="sunny_day")
         assert r.outcomes[0].origin == QUERY
@@ -619,6 +703,42 @@ def test_pure_fragment_matches_least_model(program, atom):
     assert result.query_succeeded == (atom in model)
 
 
+@st.composite
+def deep_pure_queries(draw):
+    """A program over a pool of 80 names and a query near the start of
+    its chain.  The chain runs through all 80 names in a drawn order,
+    each name's chain clause at a drawn place among its clauses; back
+    edges (a body that starts with a name before its head in the chain)
+    each close a loop, and a few facts end some proofs early.  A proof
+    along the chain has more than 64 ancestors before it reaches a fact
+    or a loop."""
+    order = draw(st.permutations([f"d{i}" for i in range(80)]))
+    clauses = [(a, (b,)) for a, b in zip(order, order[1:])]
+    place = st.integers(0, len(order) - 1)
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = sorted(draw(st.tuples(place, place)))
+        body = (order[i],) + tuple(draw(st.lists(st.sampled_from(order), max_size=1)))
+        clauses.append((order[j], body))
+    clauses += [(a, ()) for a in draw(st.lists(st.sampled_from(order), max_size=3))]
+    clauses = draw(st.permutations(clauses))
+    program = AgentProgram("Deep", tuple(
+        Clause(Atom(head), tuple(map(Atom, body))) for head, body in clauses
+    ))
+    return program, order[draw(st.integers(0, 7))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(deep_pure_queries())
+def test_pure_fragment_with_deep_ancestor_sets_matches_least_model(drawn):
+    program, atom = drawn
+    model = naive_fixpoint(
+        (c.head.name, tuple(a.name for a in c.body)) for c in program.clauses
+    )
+    result = run_agent(program, query=atom, max_steps=200_000)
+    assert not result.truncated
+    assert result.query_succeeded == (atom in model)
+
+
 def test_strategy_validation():
     with pytest.raises(ValueError):
         Strategy(event_check_period=0)
@@ -636,7 +756,7 @@ class TestValueTypes:
     @pytest.mark.parametrize("value", [
         RESULT.records[0],
         RESULT.outcomes[0],
-        GoalAtom(Atom("a"), frozenset({"b"})),
+        GoalAtom(Atom("a"), 0b101),
         TransformedClause("h", ("b",), RULE_ACTION, 0),
     ], ids=["record", "outcome", "goal atom", "P' clause"])
     def test_immutable_and_hashable(self, value):

@@ -10,8 +10,10 @@ what a scan of the whole run gives: quiescence, the active list, the
 running attempts, the EV, IV and PV name tuples the records share, the
 set of PV names, the performed actions the records name, and the goal
 text of every component and of every choice point, including right
-after a backtrack.  On these runs a step returns None exactly when the engine
-is quiescent.
+after a backtrack.  A finished component holds no goal and no choice
+points, and every goal atom's ancestor set holds only bits that its
+program gave a name.  On these runs a step returns None exactly when the
+engine is quiescent.
 `run_agent` must also give, on random inboxes and budgets, what a loop
 of single steps under the same delivery rule gives.
 The engine builds its named tuples positionally, with `tuple.__new__`,
@@ -157,9 +159,16 @@ def check_live_state(engine: Engine) -> None:
         assert last.ev is engine._ev_names
         assert last.iv is engine._iv_names
         assert last.pv is engine._pv_names
+    # The bits of a program with k named ancestors are 1, 2, .., 2**(k-1).
+    named = sorted(engine._bits.values())
+    assert named == [1 << i for i in range(len(named))]
     for c in engine.components:
         assert c.goal == goal_text(c.atoms)
         assert all(cp.goal == goal_text(cp.atoms) for cp in c.choicepoints)
+        for atoms in [c.atoms] + [cp.atoms for cp in c.choicepoints]:
+            assert all(g.ancestors >> len(named) == 0 for g in atoms if type(g) is GoalAtom)
+        if c.status != ACTIVE:  # a finished component keeps its outcome only
+            assert c.atoms == c.goal == c.choicepoints == ()
     assert engine.quiescent == scanned_quiescent(engine)
 
 
@@ -196,8 +205,11 @@ def check_every_step(monkeypatch) -> StepCounts:
         assert rec is not None or self.quiescent
         check_live_state(self)
         counts.steps += 1
-        # A choice point leaves a component only when it backtracks.
-        counts.backtracks += any(cps - set(map(id, c.choicepoints)) for c, cps in before)
+        # A choice point leaves an active component only when it
+        # backtracks; a finished one releases all of them.
+        counts.backtracks += any(
+            cps - set(map(id, c.choicepoints)) for c, cps in before if c.status == ACTIVE
+        )
         return rec
 
     monkeypatch.setattr(Engine, "step", checked_step)
@@ -323,7 +335,9 @@ names = tuple_of(str)
 FIELD_CHECKS = {
     StepRecord: (of(int), of(str), of(str), of(int), names, names, names, names,
                  optional_name, names, names, names, names, names),
-    GoalAtom: (of(Atom), lambda v: type(v) is frozenset and all(type(x) is str for x in v)),
+    # An ancestor bit set; `check_live_state` checks its bits against the
+    # names its program gave bits to.
+    GoalAtom: (of(Atom), lambda v: type(v) is int and v >= 0),
     _ChoicePoint: (tuple_of(GoalAtom, _Region), names, lambda v: bool(v) and tuple_of(Clause)(v)),
     ComponentOutcome: (of(int), of(str), of(str), of(str), optional_name),
 }
