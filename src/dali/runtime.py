@@ -206,7 +206,10 @@ class _Broadcast:
     (producer, action, consumer).  The route of a (producer, action) is
     built on its first use from the agents that declare each external
     event and the mapping's entries for the pair, so routing visits
-    only the agents that receive.
+    only the agents that receive.  The routes, in first-use order, the
+    agent order and the kind are all the warnings are formatted from;
+    they are formatted only when read, and two broadcasts compare equal
+    when that data is equal, formatted or not.
     """
 
     def __init__(self, config: SystemConfig, kind: str):
@@ -224,6 +227,15 @@ class _Broadcast:
         self._logged = 0  # the routes whose warnings are in the log
         self._tails = [(c, f"{c}; dropped") for c in config.agents]
 
+    def __eq__(self, other):
+        if not isinstance(other, _Broadcast):
+            return NotImplemented
+        return (self.kind == other.kind
+                and list(self._order) == list(other._order)
+                and list(self.routes.items()) == list(other.routes.items()))
+
+    __hash__ = None  # routes grow
+
     def route(self, producer: str, action: str) -> tuple[tuple[str, Atom], ...]:
         """The (consumer, event) deliveries of an action, in agent order."""
         key = (producer, action)
@@ -237,8 +249,10 @@ class _Broadcast:
                 if e in self.agents[c].external_names:
                     hits[c] = e
             hits.pop(producer, None)
+            # Each event is a declared external of its consumer.
             route = self.routes[key] = tuple(
-                (c, Atom(hits[c])) for c in sorted(hits, key=self._order.__getitem__)
+                (c, Atom._unchecked(hits[c]))
+                for c in sorted(hits, key=self._order.__getitem__)
             )
         return route
 
@@ -259,6 +273,15 @@ class _Broadcast:
         self._logged = len(self.routes)
         self.log += new
         return new
+
+    def warnings(self) -> tuple[str, ...]:
+        """One warning per dropped delivery of the pairs routed so far:
+        `log`, after formatting the pairs routed since it last grew.  A
+        newly routed pair only appends to it, and with none the same
+        tuple comes back."""
+        if self._logged < len(self.routes):
+            self.new_warnings()
+        return self.log
 
 
 @frozen
@@ -327,8 +350,7 @@ class SystemRunner:
     def warnings(self) -> tuple[str, ...]:
         """One warning per dropped delivery of the actions routed so far.
         A newly routed action only appends to them."""
-        self._broadcast.new_warnings()
-        return self._broadcast.log
+        return self._broadcast.warnings()
 
     def new_warnings(self) -> tuple[str, ...]:
         """The warnings added since the previous call of either method."""
@@ -375,9 +397,23 @@ class EvolutionRound:
 
 @frozen
 class EvolutionTrace:
+    """The rounds of `evolve_system` and whether they reached a fixpoint.
+
+    `drops` is the evolution's broadcast: its routes, in first-use
+    order, with the agent order and the warning kind.  The drop
+    warnings are formatted from it the first time `warnings` is read,
+    and later reads return the same tuple.  Traces compare `drops` by
+    that data, so two traces whose warnings differ compare unequal
+    whether or not either was read; `repr` leaves it out.
+    """
+
     rounds: tuple[EvolutionRound, ...]
     reached_fixpoint: bool
-    warnings: tuple[str, ...] = ()
+    drops: _Broadcast = field(repr=False)
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        return self.drops.warnings()
 
 
 def evolve_system(
@@ -391,9 +427,11 @@ def evolve_system(
     then extracts events for the next round: an agent's derived actions
     become external-event units of every other agent (via the channel
     mapping), its internal events and past events become its own units.
-    Past units accumulate; external units are replaced each round.  Drop
-    warnings come in first-routed order: round by round, producers in
-    agent order, each one's actions in declaration order.  Only
+    Past units accumulate; external units are replaced each round.  The
+    trace keeps the drops as the routes the broadcast built, and formats
+    their warnings the first time `warnings` is read, in first-routed
+    order: round by round, producers in agent order, each one's actions
+    in declaration order.  Only
     `init` is validated, since the units derived from it are declared
     events by construction; a key of `init` that names no agent is a
     `DaliConfigError`.
@@ -410,8 +448,10 @@ def evolve_system(
     rules = {name: HornRules(transform_program(program)) for name, program in agents.items()}
     # The model atoms that become an agent's own units next round.
     own_units = {
-        name: tuple((a.name, Atom(a.name)) for a in program.internals)
-        + tuple((MARKER_PREFIX[PAST] + e, Atom.past(e)) for e in program.event_names)
+        name: tuple((a.name, a) for a in program.internals)
+        + tuple(
+            (MARKER_PREFIX[PAST] + e, Atom._unchecked(e, PAST)) for e in program.event_names
+        )
         for name, program in agents.items()
     }
     rounds: list[EvolutionRound] = []
@@ -423,7 +463,7 @@ def evolve_system(
             name: rules[name].closure(unit_names(units[name], program.external_names))
             for name, program in agents.items()
         }
-        rounds.append(EvolutionRound(dict(units), models))
+        rounds.append(EvolutionRound(units, models))
 
         nxt: dict[str, set[Atom]] = {name: set() for name in agents}
         for name, program in agents.items():
@@ -443,7 +483,7 @@ def evolve_system(
             break
         units = next_units
 
-    return EvolutionTrace(tuple(rounds), reached_fixpoint, broadcast.new_warnings())
+    return EvolutionTrace(tuple(rounds), reached_fixpoint, broadcast)
 
 
 __all__ = [

@@ -23,7 +23,6 @@ from pathlib import Path
 
 import pytest
 
-from dali import runtime
 from dali.cli import main
 from dali.engine import TRACE_FIELDS
 from dali.runtime import load_system_config
@@ -125,52 +124,24 @@ class TestReplWarningOrder:
         log = (RELAY / "relay.repl.log").read_text(encoding="utf-8")
         assert relay_transcript() == (0, log)
 
-    def test_each_drop_is_formatted_once(self, monkeypatch, tmp_path):
+    def test_each_drop_is_formatted_once(self, monkeypatch, fan_system, formatted_warnings):
         """A hub pings ten consumers, and each one's `log_it` is dropped at
         the ten other agents: 100 drops over many `step 1` commands.  A
         spy on the formatting of the drop warnings must see each of them
         exactly once, as the REPL prints it; so must the relay session."""
-        (tmp_path / "hub.dali").write_text(
-            "agent Hub.\n@external kick.\n@action ping.\nkick :> ping.\n"
-        )
-        lines = ["agent hub.dali"]
-        for i in range(10):
-            (tmp_path / f"c{i}.dali").write_text(
-                f"agent C{i}.\n@external ping.\n@action log_it.\nping :> log_it.\n"
-            )
-            lines.append(f"agent c{i}.dali")
-        (tmp_path / "fan.system").write_text("\n".join(lines) + "\n")
-        formatted = []
-
-        class Tail(str):
-            """A warning's ending, `agent; dropped`.  A warning is its
-            prefix plus a Tail, and `str + Tail` calls `Tail.__radd__`, so
-            this sees every warning the broadcast formats."""
-
-            def __radd__(self, prefix):
-                formatted.append(prefix + str(self))
-                return formatted[-1]
-
-        init = runtime._Broadcast.__init__
-
-        def spied_init(self, *args):
-            init(self, *args)
-            self._tails = [(c, Tail(tail)) for c, tail in self._tails]
-
-        monkeypatch.setattr(runtime._Broadcast, "__init__", spied_init)
         monkeypatch.setattr(sys, "stdin", io.StringIO("inject Hub kick\n" + "step 1\n" * 120))
         err = io.StringIO()
         with redirect_stdout(io.StringIO()), redirect_stderr(err):
-            assert main(["repl", str(tmp_path / "fan.system")]) == 0
+            assert main(["repl", str(fan_system)]) == 0
         printed = err.getvalue().splitlines()
         assert len(printed) == 100
-        assert printed == [f"warning: {w}" for w in formatted]
+        assert printed == [f"warning: {w}" for w in formatted_warnings]
 
-        formatted.clear()
+        formatted_warnings.clear()
         code, log = relay_transcript()
         printed = [line for line in log.splitlines() if line.startswith("warning: ")]
         assert len(printed) == 6
-        assert printed == [f"warning: {w}" for w in formatted]
+        assert printed == [f"warning: {w}" for w in formatted_warnings]
 
 
 class TestModel:

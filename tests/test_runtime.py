@@ -855,6 +855,41 @@ class TestEvolution:
                     if atom.marker == "past":
                         assert f"past_{atom.name}" in earlier.models[name]
 
+    def test_warnings_are_formatted_on_first_read(self, fan_system, formatted_warnings):
+        """Evolution formats no drop warning; the first read of the
+        trace's `warnings` formats each of the fan system's 100 drops
+        once, and a second read formats none and returns the same tuple."""
+        trace = evolve_system(load_system_config(fan_system), {"Hub": [Atom("kick")]})
+        assert trace.reached_fixpoint
+        assert formatted_warnings == []
+        first = trace.warnings
+        assert len(first) == 100
+        assert list(first) == formatted_warnings
+        formatted_warnings.clear()
+        assert trace.warnings is first
+        assert formatted_warnings == []
+
+    def test_traces_whose_warnings_differ_compare_unequal(self, tmp_path):
+        """Two configs list the same agents in a different order, so
+        their rounds compare equal, as dicts, and their one route is the
+        same, but their warnings name the droppers in a different order."""
+        (tmp_path / "p.dali").write_text("agent P. @internal go. @action ping. go. go :> ping.\n")
+        (tmp_path / "a.dali").write_text("agent A. @external knock. knock :> noted. noted.\n")
+        (tmp_path / "b.dali").write_text("agent B. @external knock. knock :> noted. noted.\n")
+        traces = []
+        for order in ("a", "b"), ("b", "a"):
+            cfg = tmp_path / f"{''.join(order)}.system"
+            cfg.write_text("".join(f"agent {n}.dali\n" for n in ("p", *order)))
+            traces.append(evolve_system(load_system_config(cfg)))
+        ab, ba = traces
+        assert ab.rounds == ba.rounds
+        assert ab != ba
+        assert dropped(ab.warnings) == [("P", "ping", "A"), ("P", "ping", "B")]
+        assert dropped(ba.warnings) == [("P", "ping", "B"), ("P", "ping", "A")]
+        assert ab != ba
+        # Reading the warnings does not change what a trace equals.
+        assert ab == evolve_system(load_system_config(tmp_path / "ab.system"))
+
     def test_channel_mapping_renames_events(self, tmp_path):
         (tmp_path / "p.dali").write_text(
             "agent P. @internal go. @action ring. go. go :> ring.\n"
