@@ -132,6 +132,7 @@ def cmd_repl(args) -> int:
     config = load_system_config(args.sysconfig)
     budget = _env_max_steps(1000)
     runner = SystemRunner(config)
+    warned = 0  # the warnings printed so far; the log only grows at its end
     print(f"agents: {', '.join(runner.engines)}  (inject/step/state/query/quit)")
     while True:
         try:
@@ -181,7 +182,9 @@ def cmd_repl(args) -> int:
                       "state <agent> | query <agent> <atom> | quit")
         except DaliError as exc:
             print(f"error: {exc}")
-        _warn(runner.new_warnings())
+        warnings = runner.warnings()
+        _warn(warnings[warned:])
+        warned = len(warnings)
 
 
 class _ArgumentParser(argparse.ArgumentParser):

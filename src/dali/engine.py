@@ -167,8 +167,7 @@ class _ChoicePoint(NamedTuple):
 class Component:
     index: int
     origin: str
-    origin_atom: Atom
-    origin_text: str  # str(origin_atom)
+    origin_text: str  # the origin atom's text; an attempt's is its event's name
     atoms: tuple[GoalAtom | _Region, ...]
     goal: tuple[str, ...]  # the text of each GoalAtom in atoms, in order
     status: str = ACTIVE
@@ -474,36 +473,28 @@ class Engine:
         for good (choice points exhausted)."""
         ga = comp.atoms[0]
         atom = ga.atom
-        if atom.marker == PRESENT:
-            if atom.name in self.state.ev:
+        if atom.marker != PLAIN:
+            # A lemma test, which changes no event set: now(e) succeeds
+            # while e is pending in EV (case iii), past(e) once e is in PV.
+            present = atom.marker == PRESENT
+            if atom.name in (self.state.ev if present else self.state.pv):
                 selected = comp.goal[0]
                 self._replace_leftmost(comp, ())
-                return self._record("iii", selected, comp)
-            reason = f"now({atom.name}) unsatisfied: event not pending"
-        elif atom.marker == PAST:
-            if atom.name in self.state.pv:
-                selected = comp.goal[0]
-                self._replace_leftmost(comp, ())
-                return self._record("i", selected, comp)
-            reason = f"past({atom.name}) unsatisfied: event never reacted to"
+                return self._record("iii" if present else "i", selected, comp)
+            reason = (f"now({atom.name}) unsatisfied: event not pending" if present
+                      else f"past({atom.name}) unsatisfied: event never reacted to")
         elif comp.reaction_pending:
             comp.reaction_pending = False
             clause = self.program.reactive_clause(atom.name)
             if clause is not None:
-                return self._resolve(comp, clause)
+                return self._resolve(comp, (clause,))
             reason = f"event '{atom.name}' has no reactive rule"
         elif ga.ancestors & self._bits.get(atom.name, 0):
             reason = f"loop detected on '{atom.name}'"
         else:
             candidates = self._defining.get(atom.name, ())
             if candidates:
-                if len(candidates) > 1:
-                    cp = _new(_ChoicePoint, (comp.atoms, comp.goal, candidates[1:]))
-                    if comp.choicepoints:
-                        comp.choicepoints.append(cp)
-                    else:
-                        comp.choicepoints = [cp]
-                return self._resolve(comp, candidates[0])
+                return self._resolve(comp, candidates)
             if atom.name in self._act_names:
                 # An action without an action rule always succeeds.
                 self._replace_leftmost(comp, ())
@@ -512,19 +503,26 @@ class Engine:
 
         # Chronological backtracking: restore the goal as it was and try
         # the selected atom's next clause; that retry is the transition.
-        cp = comp.choicepoints.pop() if comp.choicepoints else None
-        if cp is None:
+        if not comp.choicepoints:
             self._finish(comp, FAILED, reason)
             return None
+        cp = comp.choicepoints.pop()
         comp.atoms, comp.goal = cp.atoms, cp.goal
-        if len(cp.candidates) > 1:
-            comp.choicepoints.append(
-                _new(_ChoicePoint, (cp.atoms, cp.goal, cp.candidates[1:]))
-            )
-        return self._resolve(comp, cp.candidates[0])
+        return self._resolve(comp, cp.candidates)
 
-    def _resolve(self, comp: Component, clause: Clause) -> StepRecord:
-        """SLD step: replace the selected atom with the clause body."""
+    def _resolve(self, comp: Component, candidates: tuple[Clause, ...]) -> StepRecord:
+        """SLD step: replace the selected atom with the body of the first
+        of `candidates`, after pushing a choice point that retries the
+        others, in order, on backtracking.  A fresh resolution passes the
+        selected atom's defining clauses, a reaction its one reactive
+        rule and a retry the choice point's remaining clauses."""
+        if len(candidates) > 1:
+            cp = _new(_ChoicePoint, (comp.atoms, comp.goal, candidates[1:]))
+            if comp.choicepoints:
+                comp.choicepoints.append(cp)
+            else:
+                comp.choicepoints = [cp]
+        clause = candidates[0]
         ga = comp.atoms[0]
         selected = comp.goal[0]
         text, perform, bit = self._resolvents.get(id(clause)) or self._resolvent(clause)
@@ -579,7 +577,7 @@ class Engine:
     def _add_component(self, origin, atom: Atom, text: str) -> Component:
         """A new active component whose goal is `atom`, which reads `text`."""
         comp = Component(
-            len(self.components), origin, atom, text, (_new(GoalAtom, (atom, 0)),), (text,)
+            len(self.components), origin, text, (_new(GoalAtom, (atom, 0)),), (text,)
         )
         self.components.append(comp)
         self._active.append(comp)
@@ -596,7 +594,7 @@ class Engine:
         comp.atoms = comp.goal = comp.choicepoints = ()
         del self._active[bisect_left(self._active, comp.index, key=_INDEX)]
         if comp.origin == INTERNAL_ATTEMPT:
-            self._attempting.discard(comp.origin_atom.name)
+            self._attempting.discard(comp.origin_text)
             self._no_attempt = False
 
     # -- nested subproofs --------------------------------------------------

@@ -253,6 +253,13 @@ def _validate(p: AgentProgram) -> ValidationReport:
     def err(idx, rule, msg):
         errors.append(ValidationIssue(idx, rule, msg))
 
+    # A declaration names an event or action: it carries no marker.
+    for role, atoms in (("external", p.externals), ("internal", p.internals),
+                        ("action", p.actions)):
+        for a in atoms:
+            if a.marker != PLAIN:
+                err(None, "marked-declaration", f"declaration @{role} {a} carries a marker")
+
     # Role sets: an external event comes from outside, so it can be
     # neither an own conclusion nor an own action.  Internal+action is
     # fine (the agent reacts to its own actions).

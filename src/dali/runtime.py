@@ -68,29 +68,15 @@ MAX_EVOLUTION_ROUNDS = 32
 
 @frozen
 class ChannelMapping:
-    """Routes (producer, action) to a per-consumer external event name.
-
-    Unmapped pairs fall back to the identity: the event keeps the
-    action's name.  When entries repeat a (producer, action, consumer)
-    triple, the first one wins.  `spans` holds each entry's config line
-    when the mapping was loaded from a file.
+    """The `map` entries of a system config, each a (producer, action,
+    consumer, event) quadruple, in config order.  `spans` holds each
+    entry's config line when the mapping was loaded from a file.  The
+    broadcast that routes a system's actions builds its index from the
+    entries (see `_Broadcast`).
     """
 
     entries: tuple[tuple[str, str, str, str], ...] = ()  # producer, action, consumer, event
     spans: tuple[SourceSpan, ...] = field(default=(), compare=False, repr=False)
-    _index: dict[tuple[str, str], dict[str, str]] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self):
-        index: dict[tuple[str, str], dict[str, str]] = {}
-        for p, a, c, e in self.entries:
-            index.setdefault((p, a), {}).setdefault(c, e)
-        object.__setattr__(self, "_index", index)
-
-    def targets(self, producer: str, action: str) -> dict[str, str]:
-        """Consumer -> event for every entry of (producer, action)."""
-        return self._index.get((producer, action), {})
 
 
 @dataclass(slots=True)
@@ -198,29 +184,35 @@ def load_system_config(path) -> SystemConfig:
 
 
 class _Broadcast:
-    """The broadcast rule of the tick runtime and of `evolve_system`.
+    """The broadcast rule of the tick runtime and of `evolve_system`: the
+    one owner of routing and of drop warnings.
 
     An action performed (or derived) by a producer reaches every other
     agent that declares, as external, the event the channel mapping
-    names for it; every other agent drops it, with one warning per
-    (producer, action, consumer).  The route of a (producer, action) is
-    built on its first use from the agents that declare each external
-    event and the mapping's entries for the pair, so routing visits
-    only the agents that receive.  The routes, in first-use order, the
-    agent order and the kind are all the warnings are formatted from;
-    they are formatted only when read, and two broadcasts compare equal
-    when that data is equal, formatted or not.
+    names for it: that of the first entry for the (producer, action,
+    consumer) triple, else the action's own name.  Every other agent
+    drops it, with one warning per (producer, action, consumer).  The
+    broadcast indexes the mapping's entries once and builds the route of
+    a (producer, action) on its first use, from that index and the
+    agents that declare each external event, so routing visits only the
+    agents that receive.  The routes, in first-use order, the agent
+    order and the kind are all the warnings are formatted from;
+    `warnings()` formats them only when read, and two broadcasts compare
+    equal when that data is equal, formatted or not.
     """
 
     def __init__(self, config: SystemConfig, kind: str):
         self.agents = config.agents
-        self.mapping = config.mapping
         self.kind = kind  # how warnings name the action
         self._order = {name: i for i, name in enumerate(config.agents)}
         self._subscribers: dict[str, list[str]] = {}  # event -> agents, in order
         for name, program in config.agents.items():
             for e in program.externals:
                 self._subscribers.setdefault(e.name, []).append(name)
+        # (producer, action) -> consumer -> event; the first entry wins
+        self._mapped: dict[tuple[str, str], dict[str, str]] = {}
+        for p, a, c, e in config.mapping.entries:
+            self._mapped.setdefault((p, a), {}).setdefault(c, e)
         # (producer, action) -> (consumer, event) pairs, in first-use order
         self.routes: dict[tuple[str, str], tuple[tuple[str, Atom], ...]] = {}
         self.log: tuple[str, ...] = ()  # the drop warnings; it only grows at its end
@@ -241,7 +233,7 @@ class _Broadcast:
         key = (producer, action)
         route = self.routes.get(key)
         if route is None:
-            mapped = self.mapping.targets(producer, action)
+            mapped = self._mapped.get(key, {})
             hits = {
                 c: action for c in self._subscribers.get(action, ()) if c not in mapped
             }
@@ -256,31 +248,25 @@ class _Broadcast:
             )
         return route
 
-    def new_warnings(self) -> tuple[str, ...]:
-        """One warning per dropped delivery of the pairs routed since the
-        last call, formatted once and appended to `log`: pair by pair in
-        first-routed order, each pair's consumers in agent order."""
-        new = tuple(
-            prefix + tail
-            for (p, a), route in islice(self.routes.items(), self._logged, None)
-            for prefix, skip in [(
-                f"{self.kind} '{a}' by {p} has no external event at ",
-                {c for c, _ in route} | {p},
-            )]
-            for c, tail in self._tails
-            if c not in skip
-        )
-        self._logged = len(self.routes)
-        self.log += new
-        return new
-
     def warnings(self) -> tuple[str, ...]:
         """One warning per dropped delivery of the pairs routed so far:
-        `log`, after formatting the pairs routed since it last grew.  A
-        newly routed pair only appends to it, and with none the same
-        tuple comes back."""
+        `log`, after appending the warnings of the pairs routed since it
+        last grew, each formatted once, pair by pair in first-routed
+        order and each pair's consumers in agent order.  A newly routed
+        pair only appends to the log, and with none the same tuple comes
+        back."""
         if self._logged < len(self.routes):
-            self.new_warnings()
+            self.log += tuple(
+                prefix + tail
+                for (p, a), route in islice(self.routes.items(), self._logged, None)
+                for prefix, skip in [(
+                    f"{self.kind} '{a}' by {p} has no external event at ",
+                    {c for c, _ in route} | {p},
+                )]
+                for c, tail in self._tails
+                if c not in skip
+            )
+            self._logged = len(self.routes)
         return self.log
 
 
@@ -348,13 +334,11 @@ class SystemRunner:
         return SystemResult(quiescent, self.tick, tuple(self.trace), self.warnings())
 
     def warnings(self) -> tuple[str, ...]:
-        """One warning per dropped delivery of the actions routed so far.
-        A newly routed action only appends to them."""
+        """One warning per dropped delivery of the actions routed so far,
+        formatted by the broadcast.  A newly routed action only appends
+        to them, so a reader that printed the first n prints the rest
+        from n on."""
         return self._broadcast.warnings()
-
-    def new_warnings(self) -> tuple[str, ...]:
-        """The warnings added since the previous call of either method."""
-        return self._broadcast.new_warnings()
 
     # -- step-granular interface (REPL) ------------------------------------
 

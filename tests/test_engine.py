@@ -53,6 +53,17 @@ def replay_deltas(records, initial_ev=()):
         assert tuple(sorted(pv)) == rec.pv, f"step {rec.step}: PV drifted"
 
 
+def steps_and_choicepoints(engine):
+    """Step to quiescence; per step, its case, selected atom and goal,
+    and the clauses left in each choice point of its component."""
+    out = []
+    while (rec := engine.step()) is not None:
+        comp = engine.components[rec.component]
+        cps = [len(cp.candidates) for cp in comp.choicepoints]
+        out.append((rec.case, rec.selected, rec.goal, cps))
+    return out
+
+
 CASE_CONTRACTS = {
     "i": dict(ev=False, iv=False, pv=False),
     "ii": dict(ev=False, iv="grow", pv=False),
@@ -177,6 +188,21 @@ class TestPlainResolution:
         assert ("q",) in [rec.goal for rec in r.records]
         assert ("r",) in [rec.goal for rec in r.records]
 
+    def test_a_retry_keeps_the_clauses_still_untried(self):
+        """p's first clause fails at its own subgoal, its second one level
+        deeper; each retry restores the goal `p` and keeps the clauses
+        still untried as a choice point, so the third clause is reached."""
+        engine = Engine(program("agent A. p :- a. p :- b. p :- d. b :- c. d."))
+        q = engine.add_query("p")
+        assert steps_and_choicepoints(engine) == [
+            ("i", "p", ("a",), [2]),  # clauses 2 and 3 wait
+            ("i", "p", ("b",), [1]),  # no clause for a: retry with clause 2
+            ("i", "b", ("c",), [1]),
+            ("i", "p", ("d",), []),  # no clause for c: retry with clause 3
+            ("i", "d", (), []),
+        ]
+        assert engine.components[q].status == SUCCEEDED
+
 
 class TestActions:
     def test_preconditionless_action_always_succeeds(self):
@@ -290,6 +316,27 @@ class TestEvents:
         )
         r = run_agent(p, inbox=[(0, "rains")])
         assert r.state.performed_names() == ("open_umbrella", "decide_what_to_do")
+
+    def test_a_reaction_opens_no_choice_point(self):
+        """The reaction to i resolves with its one reactive rule, not with
+        i's two defining clauses, so when its body fails the reaction
+        fails with no retry."""
+        engine = Engine(program(
+            "agent A. @internal i. @action go. i :- t. i :- u. t. u. i :> go, missing."
+        ))
+        assert steps_and_choicepoints(engine) == [
+            ("vi", "i", ("i",), []),
+            ("i", "i", ("t",), [1]),  # the attempt proves i by its first clause
+            ("i", "t", (), []),
+            ("ii", "i", (), []),
+            ("v", "i", ("i",), []),
+            ("i", "i", ("go", "missing"), []),
+            ("ii", "go", ("missing",), []),
+        ]
+        assert [(o.origin, o.status, o.failure) for o in engine.component_outcomes()] == [
+            (INTERNAL_ATTEMPT, SUCCEEDED, None),
+            (INTERNAL_REACTION, FAILED, "no clause for 'missing'"),
+        ]
 
     def test_recurring_event_reacted_twice(self):
         p = program("agent A. @external e. @action x. e :> x.")

@@ -143,7 +143,7 @@ def check_live_state(engine: Engine) -> None:
     assert [c.index for c in engine._active] == [c.index for c in active]
     assert all(a is b for a, b in zip(engine._active, active))
     assert engine._attempting == {
-        c.origin_atom.name for c in active if c.origin == INTERNAL_ATTEMPT
+        c.origin_text for c in active if c.origin == INTERNAL_ATTEMPT
     }
     for queue in (st.ev, st.iv):
         assert all(k == a.name and a.marker == PLAIN for k, a in queue.items())

@@ -277,6 +277,29 @@ class TestValidation:
         )
         assert ids(validate_program(p).errors).count("role-conflict") == 2
 
+    def test_marked_declarations_are_rejected(self):
+        # The parser cannot declare a marked atom; a program built in code
+        # can, and an engine would attempt `past(x)` as a lemma test.
+        clauses = (Clause(Atom("x")), Clause(Atom("x"), (Atom("go"),), REACTIVE))
+        p = AgentProgram(
+            "A",
+            clauses,
+            externals=(Atom.now("y"),),
+            internals=(Atom.past("x"),),
+            actions=(Atom("go"), Atom.past("z")),
+        )
+        errors = validate_program(p).errors
+        assert [(e.clause_index, e.rule, e.message) for e in errors] == [
+            (None, "marked-declaration", "declaration @external now(y) carries a marker"),
+            (None, "marked-declaration", "declaration @internal past(x) carries a marker"),
+            (None, "marked-declaration", "declaration @action past(z) carries a marker"),
+        ]
+        plain = AgentProgram(
+            "A", clauses, externals=(Atom("y"),), internals=(Atom("x"),),
+            actions=(Atom("go"), Atom("z")),
+        )
+        assert validate_program(plain).ok
+
     def test_reserved_names_are_rejected(self):
         # `past_x` and `now_x` are the names P' gives past(x) and now(x).
         p = AgentProgram(
