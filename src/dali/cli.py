@@ -6,9 +6,10 @@
     dali model <agent.dali> [--init ...]
     dali repl <sysconfig>
 
-Exit codes: 0 success/quiescence, 1 failed query, 2 truncated run,
-3 parse, validation or usage error.  Results go to stdout, diagnostics
-to stderr.  DALI_MAX_STEPS overrides the per-agent step budget.
+Exit codes: 0 success/quiescence, 1 failed query (also when the step
+budget runs out before the proof ends), 2 truncated `run`, 3 parse,
+validation or usage error.  Results go to stdout, diagnostics to
+stderr.  DALI_MAX_STEPS overrides the per-agent step budget.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import os
 import sys
 from contextlib import nullcontext
+from dataclasses import replace
 
 from .engine import ACTIVE, MAX_STEPS, SUCCEEDED, Strategy, run_agent
 from .errors import DaliError, DaliValidationError
@@ -77,12 +79,12 @@ def _open_trace(path):
 
 def cmd_run(args) -> int:
     config = load_system_config(args.sysconfig)
-    if args.max_ticks is not None:
-        if args.max_ticks < 0:
-            raise DaliError(f"--max-ticks must be >= 0, got {args.max_ticks}")
-        config.max_ticks = args.max_ticks
-    config.budget = _env_max_steps(config.budget)
-    runner = SystemRunner(config)
+    max_ticks = config.max_ticks if args.max_ticks is None else args.max_ticks
+    if max_ticks < 0:
+        raise DaliError(f"--max-ticks must be >= 0, got {max_ticks}")
+    runner = SystemRunner(
+        replace(config, max_ticks=max_ticks, budget=_env_max_steps(config.budget))
+    )
     # Open the trace file before the run, so a bad path fails at once.
     with _open_trace(args.trace) if args.trace else nullcontext() as fh:
         result = runner.run()
@@ -149,12 +151,12 @@ def cmd_repl(args) -> int:
             continue
         cmd, rest = words[0], words[1:]
         try:
-            if cmd == "quit":
+            if cmd == "quit" and not rest:
                 return EXIT_OK
             elif cmd == "inject" and len(rest) == 2:
                 runner.inject(rest[0], rest[1])
                 print(f"injected {rest[1]} -> {rest[0]}")
-            elif cmd == "step":
+            elif cmd == "step" and len(rest) <= 1:
                 n = parse_int(rest[0], "step count", 1, None) if rest else 1
                 done = 0
                 while done < n and runner.micro_step() is not None:
@@ -166,8 +168,8 @@ def cmd_repl(args) -> int:
                 print(f"unknown agent '{rest[0]}'")
             elif cmd == "state" and len(rest) == 1:
                 st = runner.engines[rest[0]].state
-                print(f"ev: [{', '.join(st.ev_names())}]")
-                print(f"iv: [{', '.join(st.iv_names())}]")
+                print(f"ev: [{', '.join(st.ev)}]")
+                print(f"iv: [{', '.join(st.iv)}]")
                 print(f"pv: [{', '.join(st.pv_names())}]")
                 print(f"performed: [{', '.join(st.performed_names())}]")
             elif cmd == "query" and len(rest) == 2:

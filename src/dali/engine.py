@@ -78,7 +78,7 @@ their names, order and defaults: read them by name.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
@@ -192,10 +192,11 @@ class AgentState:
 
     ev and iv are insertion-ordered sets of pending events, each an
     OrderedDict from event name to its atom: membership is one lookup and
-    the oldest event (arrival/derivation order) is taken in O(1).  pv is
-    the set of names of the events reacted to, and only grows.  performed
-    logs the actions in order (each record holds its step); coalesced
-    counts event arrivals merged into an already pending instance.
+    the oldest event (arrival/derivation order) is taken in O(1), and
+    iterating one gives its names, oldest first.  pv is the set of names
+    of the events reacted to, and only grows.  performed logs the actions
+    in order (each record holds its step); coalesced counts event arrivals
+    merged into an already pending instance.
     """
 
     ev: OrderedDict[str, Atom] = field(default_factory=OrderedDict)
@@ -203,12 +204,6 @@ class AgentState:
     pv: set[str] = field(default_factory=set)
     performed: list[Atom] = field(default_factory=list)
     coalesced: dict[str, int] = field(default_factory=dict)
-
-    def ev_names(self) -> tuple[str, ...]:
-        return tuple(self.ev)
-
-    def iv_names(self) -> tuple[str, ...]:
-        return tuple(self.iv)
 
     def pv_names(self) -> tuple[str, ...]:
         return tuple(sorted(self.pv))
@@ -650,22 +645,21 @@ def run_agent(
     """
     engine = Engine(program, strategy)
     query_index = None if query is None else engine.add_query(query)
-    pending = sorted([(int(t), as_atom(e)) for t, e in inbox], key=itemgetter(0))
+    pending = deque(sorted([(int(t), as_atom(e)) for t, e in inbox], key=itemgetter(0)))
     truncated = False
-    i = due = 0  # pending[i:] are still to be delivered; deliver up to `due`
+    due = 0  # deliver the pending entries up to `due`
     while True:
-        while i < len(pending) and pending[i][0] <= due:
-            engine.inject(pending[i][1])
-            i += 1
+        while pending and pending[0][0] <= due:
+            engine.inject(pending.popleft()[1])
         steps = engine.steps_taken
         if steps >= max_steps:
-            truncated = not engine.quiescent or i < len(pending)
+            truncated = not engine.quiescent or bool(pending)
             break
-        stop = min(pending[i][0], max_steps) if i < len(pending) else max_steps
+        stop = min(pending[0][0], max_steps) if pending else max_steps
         if len(engine.run(stop - steps)) == stop - steps:
             due = stop
-        elif i < len(pending):
-            due = pending[i][0]  # idle early: the next entry comes forward
+        elif pending:
+            due = pending[0][0]  # idle early: the next entry comes forward
         else:
             break
     outcomes = engine.component_outcomes()

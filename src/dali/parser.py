@@ -44,10 +44,8 @@ with nonnegative, nondecreasing ticks.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
 from dataclasses import field
 from itertools import islice
-from operator import attrgetter
 from string import ascii_letters
 from typing import Iterator, NoReturn
 
@@ -233,32 +231,16 @@ class ScriptEntry:
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
 
-_TICK = attrgetter("tick")
-
-
 @frozen
 class EventScript:
-    """Timed external-event injections, ordered by tick.
-
-    The order lets `due` and `next_tick` find their entries by
-    bisection, so a lookup costs O(log n) plus the entries it returns.
-    """
+    """Timed external-event injections, ordered by tick: the order in
+    which `SystemRunner` takes them off the front."""
 
     entries: tuple[ScriptEntry, ...] = ()
 
     def __post_init__(self):
         if any(a.tick > b.tick for a, b in zip(self.entries, self.entries[1:])):
             raise ValueError("event script entries must be ordered by tick")
-
-    def due(self, tick: int) -> tuple[ScriptEntry, ...]:
-        entries = self.entries
-        start = bisect_left(entries, tick, key=_TICK)
-        return entries[start : bisect_right(entries, tick, lo=start, key=_TICK)]
-
-    def next_tick(self, tick: int) -> int | None:
-        """The first tick at or after `tick` with an entry, or None."""
-        i = bisect_left(self.entries, tick, key=_TICK)
-        return self.entries[i].tick if i < len(self.entries) else None
 
 
 def content_lines(text: str, filename: str) -> Iterator[tuple[SourceSpan, str]]:

@@ -39,7 +39,8 @@ line, and an error in a script entry at its line of the events file.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import field
 from itertools import islice, zip_longest
 from pathlib import Path
 from typing import Iterable
@@ -79,7 +80,7 @@ class ChannelMapping:
     spans: tuple[SourceSpan, ...] = field(default=(), compare=False, repr=False)
 
 
-@dataclass(slots=True)
+@frozen
 class SystemConfig:
     agents: dict[str, AgentProgram]
     script: EventScript = field(default_factory=EventScript)
@@ -280,12 +281,15 @@ class SystemResult:
 
 class SystemRunner:
     """Shared tick loop for `run` and the step-granular REPL, stepping
-    only awake agents.  The routes of a tick's actions wait in the outbox
-    for the next tick; `step_agent` delivers them at once."""
+    only awake agents.  The script's entries wait in a queue, in tick
+    order, and each tick takes those due off its front.  The routes of a
+    tick's actions wait in the outbox for the next tick; `step_agent`
+    delivers them at once."""
 
     def __init__(self, config: SystemConfig):
         self.config = config
         self.tick = 0
+        self._script = deque(config.script.entries)  # the entries not yet injected
         self.trace: list[tuple[str, StepRecord]] = []
         self._broadcast = _Broadcast(config, "action")
         self._outbox: list[tuple[str, Atom]] = []  # (consumer, event) due next tick
@@ -300,8 +304,9 @@ class SystemRunner:
         deliveries; give each awake (not quiescent) agent its step
         budget, queueing the routes of the actions it performs for the
         next tick."""
-        engines = self.engines
-        for entry in self.config.script.due(self.tick):
+        engines, script = self.engines, self._script
+        while script and script[0].tick <= self.tick:
+            entry = script.popleft()
             engines[entry.agent].inject(entry.event)
         deliveries, self._outbox = self._outbox, []
         for consumer, event in deliveries:
@@ -321,7 +326,7 @@ class SystemRunner:
         delivery or script entry to come) or `max_ticks` is reached."""
         limit = self.config.max_ticks
         while True:
-            upcoming = self.config.script.next_tick(self.tick)
+            upcoming = self._script[0].tick if self._script else None
             idle = not self._outbox and all(e.quiescent for e in self.engines.values())
             quiescent = idle and upcoming is None
             if quiescent or self.tick >= limit:

@@ -7,7 +7,9 @@
 compared with the `.err` file beside the output where one exists, and
 must be empty where none does.  `TestReplWarningOrder` pins a session on
 `tests/data/cli/relay/` whose drops are first routed at different
-commands, with stdout and stderr in one transcript.
+commands, with stdout and stderr in one transcript, and `TestLateScript`
+pins `dali run` on `tests/data/cli/late/`, whose script spans several
+ticks.
 Regenerate those files (only when a change of behaviour is intended):
 
     PYTHONPATH=src python tests/test_cli.py
@@ -142,6 +144,30 @@ class TestReplWarningOrder:
         printed = [line for line in log.splitlines() if line.startswith("warning: ")]
         assert len(printed) == 6
         assert printed == [f"warning: {w}" for w in formatted_warnings]
+
+
+LATE = CLI_DATA / "late"
+
+
+def late_run(trace: Path) -> tuple[int, str, str]:
+    """`dali run tests/data/cli/late/late.system --trace TRACE`."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["run", str(LATE / "late.system"), "--trace", str(trace)])
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestLateScript:
+    def test_a_script_over_several_ticks_matches_the_stored_run(self, tmp_path):
+        """Two entries at tick 0 (the second coalesces), one at tick 3
+        after idle ticks, and one at tick 9, past `max_ticks 8`: the run
+        is truncated (exit 2) with two reactions of each agent."""
+        code, out, err = late_run(tmp_path / "late.jsonl")
+        assert code == 2
+        assert out == (LATE / "late.run.out").read_text(encoding="utf-8")
+        assert err == (LATE / "late.run.err").read_text(encoding="utf-8")
+        trace = (tmp_path / "late.jsonl").read_bytes()
+        assert trace == (LATE / "late.trace.jsonl").read_bytes()
 
 
 class TestModel:
@@ -820,6 +846,24 @@ class TestRepl:
         assert "error: step count must be" in out
         assert "advanced" in out
 
+    def test_step_and_quit_refuse_extra_words(self, capsys, monkeypatch, scenario_dir):
+        # `step` takes at most a count and `quit` nothing, as `state`
+        # takes one word: a longer command prints the commands line.
+        code, out, err = self.drive(
+            capsys, monkeypatch, scenario_dir,
+            "inject Mary alarm_clock_rings\nstep 3 4\nquit extra\nstate Mary\nquit\n",
+        )
+        commands = ("commands: inject <agent> <event> | step [n] | "
+                    "state <agent> | query <agent> <atom> | quit\n")
+        assert (code, err) == (0, "")
+        assert out.split("dali> ")[1:] == [
+            "injected alarm_clock_rings -> Mary\n",
+            commands,
+            commands,
+            "ev: [alarm_clock_rings]\niv: []\npv: []\nperformed: []\n",
+            "",
+        ]
+
     def test_eof_quits(self, capsys, monkeypatch, scenario_dir):
         code, _, _ = self.drive(capsys, monkeypatch, scenario_dir, "")
         assert code == 0
@@ -890,6 +934,10 @@ def write_pinned() -> None:
             (CLI_DATA / f"{name}.repl.err").write_text(err, encoding="utf-8")
     code, log = relay_transcript()
     assert code == 0, log
+    code, out, err = late_run(LATE / "late.trace.jsonl")
+    assert code == 2, err
+    (LATE / "late.run.out").write_text(out, encoding="utf-8")
+    (LATE / "late.run.err").write_text(err, encoding="utf-8")
     (RELAY / "relay.repl.log").write_text(log, encoding="utf-8")
     for name in MALFORMED:
         path = f"tests/data/cli/malformed/{name}.dali"

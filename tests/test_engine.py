@@ -160,7 +160,7 @@ class TestPlainResolution:
             (INTERNAL_ATTEMPT, "e", "loop detected on 'e'"),
         ]
         assert "ii" not in [rec.case for rec in r.records]
-        assert r.state.iv_names() == r.state.pv_names() == ()
+        assert tuple(r.state.iv) == r.state.pv_names() == ()
 
     def test_a_loop_deeper_than_64_ancestors_is_detected(self):
         """q_0 :- q_1 .. q_99 :- q_100, closed by q_100 :- q_0: the query
@@ -270,7 +270,7 @@ class TestEvents:
         r = run_agent(scenario("danger"), inbox=[(0, "danger")])
         assert r.state.performed_names() == ("call_police",)
         assert r.state.pv_names() == ("danger",)
-        assert r.state.ev_names() == ()
+        assert tuple(r.state.ev) == ()
         joins = [rec for rec in r.records if rec.case == "iv"]
         assert len(joins) == 1 and joins[0].selected == "danger"
 
@@ -295,7 +295,7 @@ class TestEvents:
     def test_failed_reaction_body_keeps_event_consumed(self):
         p = program("agent A. @external e. e :> unprovable.")
         r = run_agent(p, inbox=[(0, "e")])
-        assert r.state.ev_names() == ()
+        assert tuple(r.state.ev) == ()
         assert r.state.pv_names() == ("e",)
         assert r.outcomes[0].status == FAILED
 
@@ -350,7 +350,7 @@ class TestEvents:
         assert engine.inject("e") is True
         assert engine.inject("e") is False
         assert engine.state.coalesced == {"e": 1}
-        assert engine.state.ev_names() == ("e",)
+        assert tuple(engine.state.ev) == ("e",)
 
     def test_event_conservation(self):
         p = program("agent A. @external e. @external f. e :> r. r.")
@@ -375,7 +375,7 @@ class TestEvents:
         engine = Engine(program("agent A. @external e. e :> r. r."))
         with pytest.raises(DaliConfigError, match=r"inbox event \w+\(e\) is marked"):
             engine.inject(event)
-        assert engine.state.ev_names() == ()
+        assert tuple(engine.state.ev) == ()
         assert engine.quiescent
 
     def test_run_agent_parses_inbox_text(self, scenario):
@@ -403,7 +403,7 @@ class TestBacklog:
         assert all(engine.inject(e) for e in names)
         assert engine.inject(names[10]) is False  # pending: coalesced
         assert engine.state.coalesced == {names[10]: 1}
-        assert engine.state.ev_names() == tuple(names)
+        assert tuple(engine.state.ev) == tuple(names)
 
         engine.run(max_steps=3)  # join `first` and react to it
         assert [r.case for r in engine.records] == ["iv", "i", "ii"]
@@ -418,7 +418,7 @@ class TestBacklog:
         )
         assert engine.components[q_last].status == SUCCEEDED
         assert engine.inject(first) is True  # joined already: to the back
-        assert engine.state.ev_names()[-1] == first
+        assert tuple(engine.state.ev)[-1] == first
 
         engine.run()
         assert engine.quiescent
@@ -494,7 +494,7 @@ class TestInternalEvents:
     def test_attempt_failure_is_silent(self):
         p = program("agent A. @internal happy. happy :- sunny_day. happy :> r. r.")
         r = run_agent(p)
-        assert r.state.iv_names() == ()
+        assert tuple(r.state.iv) == ()
         assert r.state.performed_names() == ()
         attempt = [o for o in r.outcomes if o.origin == INTERNAL_ATTEMPT]
         assert attempt and attempt[0].status == FAILED
@@ -630,8 +630,8 @@ class TestRunDriver:
         p = program("agent A. @external e. @action x. e :> x.")
         due = run_agent(p, inbox=[(0, "e")], max_steps=0)
         late = run_agent(p, inbox=[(1, "e")], max_steps=0)
-        assert (due.state.ev_names(), due.truncated) == (("e",), True)
-        assert (late.state.ev_names(), late.truncated) == ((), True)
+        assert (tuple(due.state.ev), due.truncated) == (("e",), True)
+        assert (tuple(late.state.ev), late.truncated) == ((), True)
 
     def test_late_inbox_events_reached_by_time_jump(self):
         p = program("agent A. @external e. @action x. e :> x.")

@@ -176,21 +176,6 @@ class TestEventScripts:
         s = parse_event_script("# header\n\n0 A x  # same line\n")
         assert len(s.entries) == 1
 
-    def test_due(self):
-        s = parse_event_script("0 A x\n0 A y\n4 A z\n4 A w\n9 A v\n")
-        assert [e.event.name for e in s.due(0)] == ["x", "y"]
-        assert [e.event.name for e in s.due(4)] == ["z", "w"]
-        assert s.due(2) == s.due(10) == ()
-
-    def test_next_tick(self):
-        s = parse_event_script("0 A x\n0 A y\n4 A z\n4 A w\n9 A v\n")
-        assert [s.next_tick(t) for t in range(-1, 11)] == [
-            0, 0, 4, 4, 4, 4, 9, 9, 9, 9, 9, None,
-        ]
-        for t in range(-1, 11):
-            assert s.next_tick(t) == min((e.tick for e in s.entries if e.tick >= t), default=None)
-        assert EventScript().next_tick(0) is None
-
     def test_entries_must_be_ordered_by_tick(self):
         s = parse_event_script("0 A x\n4 A z\n")
         with pytest.raises(ValueError, match="ordered by tick"):

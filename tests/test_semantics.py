@@ -390,7 +390,9 @@ class TestEngineCoherence:
     model and reacted events appear as past_ atoms.  danger and anne put
     their actions behind an ordinary indirection, which the transform
     cannot bootstrap (see the deadlock test above), so the two sides are
-    compared only on the scenarios in the transform's reach.
+    compared only on the scenarios in the transform's reach.  Three more
+    causes of an action the engine performs and the snapshot does not
+    derive are stated below, each on a minimal program.
     """
 
     @pytest.mark.parametrize(
@@ -406,6 +408,33 @@ class TestEngineCoherence:
             assert action in model
         for past in result.state.pv_names():
             assert f"past_{past}" in model
+
+    @pytest.mark.parametrize(
+        "source, inbox",
+        [
+            # The engine performs `a` and then fails on the undefined p;
+            # the derivation clause of `a` needs the whole body to hold.
+            pytest.param("@external x.\nx :> a, p, a.", ["x"], id="effects-on-a-failed-branch"),
+            # The engine joins e into PV before the body runs; past_e
+            # needs the reaction to finish.
+            pytest.param("@external e.\ne :> past(e), a.", ["e"], id="past-of-the-reacting-event"),
+            # The engine joins e into PV; with no reactive rule for e,
+            # the compiled program has no clause for past_e.
+            pytest.param(
+                "@external e.\n@external f.\nf :> past(e), a.", ["e", "f"],
+                id="past-of-an-event-with-no-reactive-rule",
+            ),
+        ],
+    )
+    def test_an_action_the_snapshot_does_not_derive(self, source, inbox):
+        from dali.engine import run_agent
+
+        program = parse_agent_file(f"agent A.\n@action a.\n{source}\n")
+        result = run_agent(program, inbox=[(0, e) for e in inbox])
+        model = snapshot(program, [Atom(e) for e in inbox])
+        assert result.state.performed_names() == ("a",)
+        assert result.state.pv_names() == tuple(inbox)
+        assert model == {*inbox, *(f"now_{e}" for e in inbox)}
 
 
 def test_reactive_transform_guard_blocks_unfired_events():
