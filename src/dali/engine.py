@@ -136,6 +136,11 @@ class Strategy:
             raise ValueError("strategy periods must be >= 1")
 
 
+# What `Engine` and `run_agent` use when given no strategy: one frozen
+# instance that every engine shares.
+DEFAULT_STRATEGY = Strategy()
+
+
 class GoalAtom(NamedTuple):
     """One pending subgoal: the atom and its proof ancestors (loop check),
     an int bit set over the names of its program (see `Engine._resolvent`)."""
@@ -240,7 +245,8 @@ class StepRecord(NamedTuple):
 class Engine:
     """Interpreter instance owning one agent's state.
 
-    Instances never share mutable state.  A step performs at most one
+    Instances never share mutable state; engines given no strategy share
+    the frozen `DEFAULT_STRATEGY`.  A step performs at most one
     action, named by its record's `performed`; the step records are the
     engine's only output, and the runtime routes actions from them.
     """
@@ -250,7 +256,7 @@ class Engine:
         if not report.ok:
             raise DaliValidationError(program.name, report)
         self.program = program
-        self.strategy = strategy or Strategy()
+        self.strategy = strategy or DEFAULT_STRATEGY
         self.state = AgentState()
         self.components: list[Component] = []
         self.records: list[StepRecord] = []

@@ -123,15 +123,26 @@ _set_body = Clause.body.__set__
 _set_kind = Clause.kind.__set__
 
 
+def _role(atoms) -> tuple[tuple[Atom, ...], frozenset[str]]:
+    """A role's atoms in declaration order without repeats, and its name
+    set.  Atoms with distinct names are distinct, so the atoms are
+    compared only when a name repeats."""
+    atoms = tuple(atoms)
+    names = frozenset([a.name for a in atoms])
+    if len(names) < len(atoms):
+        atoms = tuple(dict.fromkeys(atoms))
+    return atoms, names
+
+
 @frozen
 class AgentProgram:
     """A named agent: ordered clauses plus declared role sets.
 
     Role sets keep declaration order (it drives the interpreter's
     round-robin over internal events) but behave as sets: duplicates are
-    dropped on construction.  The program is immutable, so the name sets
-    and the head-name clause indexes are built once, here, the
-    validation report on the first `validate_program` call and what
+    dropped on construction (see `_role`).  The program is immutable, so
+    the name sets and the head-name clause indexes are built once, here,
+    the validation report on the first `validate_program` call and what
     resolution with each clause needs on its first use by an engine;
     none of them is part of equality, hashing or repr.
     """
@@ -156,14 +167,15 @@ class AgentProgram:
     def __post_init__(self):
         setattr_ = object.__setattr__
         setattr_(self, "clauses", tuple(self.clauses))
-        setattr_(self, "externals", tuple(dict.fromkeys(self.externals)))
-        setattr_(self, "internals", tuple(dict.fromkeys(self.internals)))
-        setattr_(self, "actions", tuple(dict.fromkeys(self.actions)))
-        ext = frozenset(a.name for a in self.externals)
-        internal = frozenset(a.name for a in self.internals)
+        externals, ext = _role(self.externals)
+        internals, internal = _role(self.internals)
+        actions, act = _role(self.actions)
+        setattr_(self, "externals", externals)
+        setattr_(self, "internals", internals)
+        setattr_(self, "actions", actions)
         setattr_(self, "external_names", ext)
         setattr_(self, "internal_names", internal)
-        setattr_(self, "action_names", frozenset(a.name for a in self.actions))
+        setattr_(self, "action_names", act)
         setattr_(self, "event_names", ext | internal)
         # The first reactive or action rule per head wins, in program
         # order; validation reports any later one.

@@ -338,11 +338,13 @@ def _universal_newlines(text: str) -> str:
 
 def read_source(path) -> str:
     """The text of a UTF-8 input file, newlines translated as text-mode
-    `open` does.  A byte that is not UTF-8 is a syntax error at its line
-    and column.  A file that cannot be read (missing, a directory, no
-    permission, a NUL byte in its name) is a `DaliError` naming the path."""
+    `open` does.  The file is read whole in one unbuffered read, with no
+    buffer object or terminal probe to set up for it.  A byte that is not
+    UTF-8 is a syntax error at its line and column.  A file that cannot
+    be read (missing, a directory, no permission, a NUL byte in its name)
+    is a `DaliError` naming the path."""
     try:
-        with open(path, "rb") as fh:
+        with open(path, "rb", buffering=0) as fh:
             data = fh.read()
     except OSError as exc:
         raise DaliError(str(exc)) from None

@@ -107,7 +107,8 @@ FROZEN = [
     cls
     for info in pkgutil.iter_modules(dali.__path__)
     for cls in vars(importlib.import_module(f"dali.{info.name}")).values()
-    if dataclasses.is_dataclass(cls)
+    if isinstance(cls, type)  # is_dataclass is also true of an instance
+    and dataclasses.is_dataclass(cls)
     and cls.__module__ == f"dali.{info.name}"
     and cls.__dataclass_params__.frozen
 ]
@@ -336,6 +337,17 @@ class TestValidation:
     def test_duplicate_declarations_are_idempotent(self):
         p = AgentProgram("A", externals=(Atom("e"), Atom("e")))
         assert p.externals == (Atom("e"),)
+
+    def test_a_name_repeated_with_another_marker_keeps_both_atoms(self):
+        # The one case in which the atoms of a role are compared: the
+        # repeat goes, the marked atom stays, in declaration order.
+        p = AgentProgram("A", externals=(Atom("e"), Atom.past("e"), Atom("e")))
+        assert p.externals == (Atom("e"), Atom.past("e"))
+        assert p.external_names == {"e"}
+        errors = validate_program(p).errors
+        assert [(e.clause_index, e.rule, e.message) for e in errors] == [
+            (None, "marked-declaration", "declaration @external past(e) carries a marker"),
+        ]
 
     def test_accepted_program_has_one_reactive_clause_per_event(self, scenario):
         for name in ("henry", "danger", "anne", "mary"):

@@ -92,6 +92,17 @@ class TestExhaustiveInterleavings:
         assert not r.truncated
         assert r.action_multisets == {(), ("a",)}
 
+    def test_an_event_proved_again_after_its_reaction_stays_out_of_iv(self):
+        # q proves e again once e has been reacted to: e is in PV, so the
+        # second proof does not put e back in IV, and a reacts only once.
+        p = parse_agent_file(
+            "agent A. @internal e. @action a. e. e :> a. q :- past(e), e."
+        )
+        r = exhaustive_interleavings(p, query="q")
+        assert not r.truncated
+        assert r.action_multisets == {("a",)}
+        assert run_agent(p, query="q").state.performed_names() == ("a",)
+
     @pytest.mark.parametrize("size, truncated", [(64, False), (65, True)])
     def test_goal_size_bound_truncates(self, size, truncated):
         p = parse_agent_file(f"agent A. p :- {', '.join(['q'] * size)}. q.")

@@ -187,6 +187,9 @@ class TestInitAtoms:
         atoms = parse_init_atoms("e1, past(e2),now(e3)")
         assert atoms == (Atom("e1"), Atom.past("e2"), Atom.now("e3"))
 
+    def test_empty_parts_are_skipped(self):
+        assert parse_init_atoms("e1,,past(e2)") == parse_init_atoms("e1,past(e2)")
+
     def test_single_atom_helper(self):
         assert parse_atom_text("past(x)") == Atom.past("x")
         with pytest.raises(DaliSyntaxError):

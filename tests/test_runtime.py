@@ -9,7 +9,7 @@ from dali import model, runtime
 from dali.engine import ACTIVE, Engine, Strategy
 from dali.errors import DaliConfigError, DaliSyntaxError, DaliValidationError, SourceSpan
 from dali.model import ACTION, ORDINARY, REACTIVE, AgentProgram, Atom, Clause
-from dali.parser import EventScript, ScriptEntry
+from dali.parser import EventScript, ScriptEntry, parse_agent_file
 from dali.runtime import (
     ChannelMapping,
     SystemConfig,
@@ -870,6 +870,24 @@ class TestEvolution:
         trace = evolve_system(ping_config)
         assert not trace.reached_fixpoint
 
+    @pytest.mark.parametrize("agents, fixpoint", [(31, True), (32, False)])
+    def test_a_relay_stops_at_the_round_bound(self, agents, fixpoint):
+        """Agent R_i passes go_i on as go_{i+1}, one agent a round, so a
+        relay of n agents settles in round n + 1: 31 agents are the
+        longest relay that reaches a fixpoint within the 32 rounds."""
+        config = SystemConfig({
+            f"R{i}": parse_agent_file(
+                f"agent R{i}. @external go_{i}. @action go_{i + 1}. go_{i} :> go_{i + 1}."
+            )
+            for i in range(agents)
+        })
+        trace = evolve_system(config, {"R0": [Atom("go_0")]})
+        assert runtime.MAX_EVOLUTION_ROUNDS == 32
+        assert len(trace.rounds) == 32
+        assert trace.reached_fixpoint is fixpoint
+        for i in range(agents):
+            assert f"go_{i + 1}" in trace.rounds[i].models[f"R{i}"]
+
     def test_units_follow_previous_models(self, ping_config):
         trace = evolve_system(ping_config)
         for earlier, later in zip(trace.rounds, trace.rounds[1:]):
@@ -912,6 +930,11 @@ class TestEvolution:
         assert ab != ba
         # Reading the warnings does not change what a trace equals.
         assert ab == evolve_system(load_system_config(tmp_path / "ab.system"))
+
+    def test_drops_compare_unequal_to_other_types(self, ping_config):
+        drops = evolve_system(ping_config).drops
+        assert drops.__eq__(object()) is NotImplemented
+        assert drops != object()
 
     def test_channel_mapping_renames_events(self, tmp_path):
         (tmp_path / "p.dali").write_text(
