@@ -39,14 +39,15 @@ def _load_validated(path):
     report = validate_program(program)
     if not report.ok:
         raise DaliValidationError(program.name, report, path)
-    for w in report.warnings:
-        print(f"{path}: warning: {w}", file=sys.stderr)
+    _warn(report.warnings, f"{path}: ")
     return program
 
 
-def _warn(warnings) -> None:
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
+def _warn(warnings, where: str = "") -> None:
+    """Write one `{where}warning: ...` line per warning to stderr, all in
+    one write: a line-buffered stderr pays a system call per write."""
+    if warnings:
+        sys.stderr.write("".join(f"{where}warning: {w}\n" for w in warnings))
 
 
 def _env_max_steps(default: int) -> int:

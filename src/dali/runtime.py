@@ -12,8 +12,11 @@ records, whose `performed` names each one; an engine has no other
 output.  Each (producer, action) pair is routed once, on first use,
 from the agents that declare each external event and the mapping's
 entries for the pair; after that, a delivery visits only the consumers
-that receive it.  `load_system_config` validates each agent program,
-and `Engine` reuses the report kept on it.
+that receive it.  `run()` formats no drop warning: its `SystemResult`
+formats them the first time its `warnings` is read, as `EvolutionTrace`
+does, and they are fixed when the run ends.  The CLI writes each batch
+of them to stderr in one call.  `load_system_config` validates each
+agent program, and `Engine` reuses the report kept on it.
 
 The same broadcast rule drives `evolve_system`, which iterates snapshot
 models instead of the interpreter.  It compiles each agent's P' rules
@@ -199,7 +202,8 @@ class _Broadcast:
     agents that receive.  The routes, in first-use order, the agent
     order and the kind are all the warnings are formatted from;
     `warnings()` formats them only when read, and two broadcasts compare
-    equal when that data is equal, formatted or not.
+    equal when that data is equal, formatted or not.  `dropped` counts
+    the drops of the routes built so far without formatting them.
     """
 
     def __init__(self, config: SystemConfig, kind: str):
@@ -218,6 +222,7 @@ class _Broadcast:
         self.routes: dict[tuple[str, str], tuple[tuple[str, Atom], ...]] = {}
         self.log: tuple[str, ...] = ()  # the drop warnings; it only grows at its end
         self._logged = 0  # the routes whose warnings are in the log
+        self.dropped = 0  # the drops of the routes built so far
         self._tails = [(c, f"{c}; dropped") for c in config.agents]
 
     def __eq__(self, other):
@@ -247,6 +252,7 @@ class _Broadcast:
                 (c, Atom._unchecked(hits[c]))
                 for c in sorted(hits, key=self._order.__getitem__)
             )
+            self.dropped += len(self._order) - 1 - len(route)  # all but p and the route
         return route
 
     def warnings(self) -> tuple[str, ...]:
@@ -273,10 +279,35 @@ class _Broadcast:
 
 @frozen
 class SystemResult:
+    """The end of `SystemRunner.run`: whether the system went quiescent,
+    the tick it stopped at, the trace, and the drop warnings of the run.
+
+    `run()` formats no warning.  `drops` is the runner's broadcast and
+    `dropped` the number of drops when the run ended; as with
+    `EvolutionTrace`, the broadcast formats the warnings the first time
+    `warnings` is read.  They are fixed when the run ends: if the runner
+    is stepped afterwards, `warnings` keeps the first `dropped` of the
+    broadcast's log.  Results compare equal when their quiescence,
+    ticks, trace and warnings are; `repr` leaves the broadcast out.
+    """
+
     quiescent: bool
     ticks: int
     trace: tuple[tuple[str, StepRecord], ...]
-    warnings: tuple[str, ...]
+    drops: _Broadcast = field(repr=False, compare=False)
+    dropped: int = field(repr=False, compare=False)
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        log = self.drops.warnings()
+        return log if len(log) == self.dropped else log[:self.dropped]
+
+    def __eq__(self, other):
+        if not isinstance(other, SystemResult):
+            return NotImplemented
+        return ((self.quiescent, self.ticks, self.trace)
+                == (other.quiescent, other.ticks, other.trace)
+                and self.warnings == other.warnings)
 
 
 class SystemRunner:
@@ -336,7 +367,10 @@ class SystemRunner:
                     break  # unreachable within the tick budget
                 self.tick = upcoming  # fast-forward idle ticks
             self.run_tick()
-        return SystemResult(quiescent, self.tick, tuple(self.trace), self.warnings())
+        broadcast = self._broadcast
+        return SystemResult(
+            quiescent, self.tick, tuple(self.trace), broadcast, broadcast.dropped
+        )
 
     def warnings(self) -> tuple[str, ...]:
         """One warning per dropped delivery of the actions routed so far,

@@ -20,22 +20,14 @@ def scenario():
     return load
 
 
-@pytest.fixture
-def fan_system(tmp_path) -> Path:
-    """A hub whose `kick` pings ten consumers, each of which answers with
-    `log_it`, an event no agent declares: 100 drops, each consumer's at
-    the hub and the nine other consumers."""
-    (tmp_path / "hub.dali").write_text(
-        "agent Hub.\n@external kick.\n@action ping.\nkick :> ping.\n"
-    )
-    lines = ["agent hub.dali"]
-    for i in range(10):
-        (tmp_path / f"c{i}.dali").write_text(
-            f"agent C{i}.\n@external ping.\n@action log_it.\nping :> log_it.\n"
-        )
-        lines.append(f"agent c{i}.dali")
-    (tmp_path / "fan.system").write_text("\n".join(lines) + "\n")
-    return tmp_path / "fan.system"
+@pytest.fixture(scope="session")
+def fan_system() -> Path:
+    """tests/data/cli/fan/: a hub whose `kick` pings ten consumers, each
+    of which answers with `log_it`, an event no agent declares: 100
+    drops, each consumer's at the hub and the nine other consumers.  Its
+    script kicks the hub at tick 0.  A `poke` makes the hub `shout`,
+    which no agent declares either: ten more drops, one per consumer."""
+    return Path(__file__).resolve().parent / "data" / "cli" / "fan" / "fan.system"
 
 
 @pytest.fixture

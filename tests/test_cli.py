@@ -7,9 +7,10 @@
 compared with the `.err` file beside the output where one exists, and
 must be empty where none does.  `TestReplWarningOrder` pins a session on
 `tests/data/cli/relay/` whose drops are first routed at different
-commands, with stdout and stderr in one transcript, and `TestLateScript`
+commands, with stdout and stderr in one transcript, `TestLateScript`
 pins `dali run` on `tests/data/cli/late/`, whose script spans several
-ticks.
+ticks, and `TestFanRun` pins `dali run` on `tests/data/cli/fan/`, whose
+100 drop warnings reach stderr in one write.
 Regenerate those files (only when a change of behaviour is intended):
 
     PYTHONPATH=src python tests/test_cli.py
@@ -41,6 +42,18 @@ MALFORMED = [path.stem for path in sorted((CLI_DATA / "malformed").glob("*.dali"
 MALFORMED_SYSTEMS = [
     path.stem for path in sorted((CLI_DATA / "malformed").glob("*.system"))
 ]
+
+
+class WriteCounter(io.StringIO):
+    """A stream that keeps each string written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
 
 
 def run_cli(capsys, *argv):
@@ -132,12 +145,15 @@ class TestReplWarningOrder:
         spy on the formatting of the drop warnings must see each of them
         exactly once, as the REPL prints it; so must the relay session."""
         monkeypatch.setattr(sys, "stdin", io.StringIO("inject Hub kick\n" + "step 1\n" * 120))
-        err = io.StringIO()
+        err = WriteCounter()
         with redirect_stdout(io.StringIO()), redirect_stderr(err):
             assert main(["repl", str(fan_system)]) == 0
         printed = err.getvalue().splitlines()
         assert len(printed) == 100
         assert printed == [f"warning: {w}" for w in formatted_warnings]
+        # Each consumer's `log_it` is routed by one command, whose ten
+        # warnings reach stderr in one write.
+        assert [text.count("\n") for text in err.writes] == [10] * 10
 
         formatted_warnings.clear()
         code, log = relay_transcript()
@@ -168,6 +184,40 @@ class TestLateScript:
         assert err == (LATE / "late.run.err").read_text(encoding="utf-8")
         trace = (tmp_path / "late.jsonl").read_bytes()
         assert trace == (LATE / "late.trace.jsonl").read_bytes()
+
+
+FAN = CLI_DATA / "fan"
+
+
+def fan_run() -> tuple[int, str, WriteCounter]:
+    """`dali run tests/data/cli/fan/fan.system`: its exit code, its
+    stdout, and its stderr, which keeps each write."""
+    out, err = io.StringIO(), WriteCounter()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["run", str(FAN / "fan.system")])
+    return code, out.getvalue(), err
+
+
+class TestFanRun:
+    def test_the_warnings_match_the_stored_run_in_one_write(self):
+        """A hub kicked once pings ten consumers, whose `log_it` is
+        dropped 100 times: stdout and stderr match the stored run, and
+        the 100 warnings reach stderr in one write."""
+        code, out, err = fan_run()
+        assert code == 0
+        assert out == (FAN / "fan.run.out").read_text(encoding="utf-8")
+        assert err.writes == [(FAN / "fan.run.err").read_text(encoding="utf-8")]
+
+    def test_validation_warnings_reach_stderr_in_one_write(self, tmp_path):
+        bad = tmp_path / "quiet.dali"
+        bad.write_text("agent Quiet. @external a. @external b. p.\n")
+        err = WriteCounter()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            assert main(["model", str(bad)]) == 0
+        assert err.writes == ["".join(
+            f"{bad}: warning: external event '{e}' has no reactive rule; "
+            "it will be consumed without a reaction\n" for e in "ab"
+        )]
 
 
 class TestModel:
@@ -939,6 +989,10 @@ def write_pinned() -> None:
     (LATE / "late.run.out").write_text(out, encoding="utf-8")
     (LATE / "late.run.err").write_text(err, encoding="utf-8")
     (RELAY / "relay.repl.log").write_text(log, encoding="utf-8")
+    code, out, err = fan_run()
+    assert code == 0, err.getvalue()
+    (FAN / "fan.run.out").write_text(out, encoding="utf-8")
+    (FAN / "fan.run.err").write_text(err.getvalue(), encoding="utf-8")
     for name in MALFORMED:
         path = f"tests/data/cli/malformed/{name}.dali"
         code, out, err = pinned_run(name, "model", path)

@@ -368,6 +368,74 @@ class TestBroadcastRule:
         assert all(w.startswith("derived action ") for w in trace.warnings)
 
 
+class TestSystemResult:
+    def test_warnings_are_formatted_on_first_read(self, fan_system, formatted_warnings):
+        """A run formats no drop warning; the first read of the result's
+        `warnings` formats each of the fan system's 100 drops once, and
+        a second read formats none and returns the same tuple."""
+        runner = SystemRunner(load_system_config(fan_system))
+        result = runner.run()
+        assert result.quiescent
+        assert formatted_warnings == []
+        first = result.warnings
+        assert len(first) == 100
+        assert list(first) == formatted_warnings
+        assert first == runner.warnings()
+        formatted_warnings.clear()
+        assert result.warnings is first
+        assert formatted_warnings == []
+
+    @pytest.mark.parametrize("read_first", [True, False], ids=["read", "unread"])
+    @pytest.mark.parametrize("step", ["run_tick", "step_agent"])
+    def test_warnings_are_fixed_when_the_run_ends(
+        self, fan_system, formatted_warnings, step, read_first
+    ):
+        """After the run, a poke makes the hub shout, a new pair dropped
+        at the ten consumers: the runner's warnings grow, the result's
+        stay those of its run, read before the poke or not, and each
+        warning is formatted once."""
+        config = load_system_config(fan_system)
+        runner = SystemRunner(config)
+        result = runner.run()
+        before = result.warnings if read_first else None
+        runner.inject("Hub", "poke")
+        if step == "run_tick":
+            runner.run_tick()
+        else:
+            while runner.step_agent("Hub") is not None:
+                pass
+        grown = runner.warnings()
+        assert len(grown) == 110
+        assert dropped(grown[100:]) == [("Hub", "shout", f"C{i}") for i in range(10)]
+        assert result.warnings == grown[:100]
+        if read_first:
+            assert before == result.warnings
+        assert formatted_warnings == list(grown)
+        assert result == SystemRunner(config).run()
+
+    def test_results_compare_their_warnings(self, tmp_path):
+        """P's `ping` is dropped at its one idle peer, A in one system and
+        B in the other: the runs differ only in their warnings."""
+        (tmp_path / "p.dali").write_text("agent P. @external go. @action ping. go :> ping.\n")
+        (tmp_path / "s.events").write_text("0 P go\n")
+        results = []
+        for peer in "A", "B":
+            (tmp_path / f"{peer}.dali").write_text(
+                f"agent {peer}. @external knock. knock :> noted. noted.\n"
+            )
+            cfg = tmp_path / f"{peer}.system"
+            cfg.write_text(f"agent p.dali\nagent {peer}.dali\nscript s.events\n")
+            results.append(SystemRunner(load_system_config(cfg)).run())
+        a, b = results
+        assert (a.quiescent, a.ticks, a.trace) == (b.quiescent, b.ticks, b.trace)
+        assert a != b
+        assert dropped(a.warnings) == [("P", "ping", "A")]
+        assert dropped(b.warnings) == [("P", "ping", "B")]
+        rerun = SystemRunner(load_system_config(tmp_path / "A.system")).run()
+        assert rerun == a  # one read, one not
+        assert a.__eq__(object()) is NotImplemented
+
+
 POOL = ("ping", "pong", "bell", "knock", "ring")
 INTERNAL_POOL = ("go", "tired")
 PLAIN_POOL = ("p", "q")
@@ -455,10 +523,12 @@ def test_routes_match_the_brute_force_rule(config):
                     drops.append((p, a.name, c))
             seen = len(broadcast.log)
             assert broadcast.route(p, a.name) == tuple(received)
+            assert broadcast.dropped == len(expected_drops) + len(drops)
             log = broadcast.warnings()
             assert dropped(log[seen:]) == drops
             expected_drops += drops
             assert log is broadcast.log and dropped(log) == expected_drops
+            assert broadcast.dropped == len(expected_drops)
 
 
 def next_units(config, models):
