@@ -19,10 +19,12 @@ of them to stderr in one call.  `load_system_config` validates each
 agent program, and `Engine` reuses the report kept on it.
 
 The same broadcast rule drives `evolve_system`, which iterates snapshot
-models instead of the interpreter.  It compiles each agent's P' rules
-once; each round feeds them the unit clauses of the previous round's
-derived events (actions travel to the other agents, internal and past
-events stay home) until the unit clauses stop changing.
+models instead of the interpreter.  It compiles each distinct P' once,
+shared by the agents whose P' is equal; each round feeds the rules the
+unit clauses of the previous round's derived events (actions travel to
+the other agents, internal and past events stay home) until the unit
+clauses stop changing.  An agent's rules are closed again only for a
+seed set they have not closed before, in any round or for any agent.
 
 System config files are plain text, one directive per line, blanks
 between a directive and its argument, paths relative to the config file
@@ -56,7 +58,7 @@ from .model import MARKER_PREFIX, PAST, AgentProgram, Atom, validate_program
 from .parser import (
     EventScript, content_lines, load_agent_file, load_event_script, parse_int, read_source
 )
-# `evolve_system` compiles each agent's rules once and so never calls
+# `evolve_system` compiles each distinct P' once and so never calls
 # `least_model`; the name stays here because bench/tracing.py wraps it.
 from .semantics import (  # noqa: F401
     HornRules,
@@ -445,19 +447,20 @@ def evolve_system(
 ) -> EvolutionTrace:
     """Iterate per-agent snapshot models until the derived events settle.
 
-    Each agent's P' rules are compiled once; each round takes every
-    agent's least model of those rules plus the current unit clauses,
-    then extracts events for the next round: an agent's derived actions
-    become external-event units of every other agent (via the channel
-    mapping), its internal events and past events become its own units.
-    Past units accumulate; external units are replaced each round.  The
-    trace keeps the drops as the routes the broadcast built, and formats
-    their warnings the first time `warnings` is read, in first-routed
-    order: round by round, producers in agent order, each one's actions
-    in declaration order.  Only
-    `init` is validated, since the units derived from it are declared
-    events by construction; a key of `init` that names no agent is a
-    `DaliConfigError`.
+    Each distinct P' is compiled once, and agents whose P' is equal
+    share its rules.  Each round takes every agent's least model of its
+    rules plus the current unit clauses, closing the rules only for a
+    seed set they have not closed before in this call, and then extracts
+    events for the next round: an agent's derived actions become
+    external-event units of every other agent (via the channel mapping),
+    its internal events and past events become its own units.  Past
+    units accumulate; external units are replaced each round.  The trace
+    keeps the drops as the routes the broadcast built, and formats their
+    warnings the first time `warnings` is read, in first-routed order:
+    round by round, producers in agent order, each one's actions in
+    declaration order.  Only `init` is validated, since the units derived
+    from it are declared events by construction; a key of `init` that
+    names no agent is a `DaliConfigError`.
     """
     init = init or {}
     agents = config.agents
@@ -468,7 +471,16 @@ def evolve_system(
         name: frozenset(InitialSituation(init.get(name, ())).validated(program).events)
         for name, program in agents.items()
     }
-    rules = {name: HornRules(transform_program(program)) for name, program in agents.items()}
+    # P' clauses -> (closure, seeds -> model): a closure reads only the
+    # two, so agents whose P' is equal share the rules and their models.
+    compiled: dict[tuple, tuple] = {}
+    rules = {}
+    for name, program in agents.items():
+        clauses = transform_program(program).clauses
+        entry = compiled.get(clauses)
+        if entry is None:
+            entry = compiled[clauses] = (HornRules(clauses).closure, {})
+        rules[name] = entry
     # The model atoms that become an agent's own units next round.
     own_units = {
         name: tuple((a.name, a) for a in program.internals)
@@ -482,10 +494,14 @@ def evolve_system(
     reached_fixpoint = False
 
     for _ in range(MAX_EVOLUTION_ROUNDS):
-        models = {
-            name: rules[name].closure(unit_names(units[name], program.external_names))
-            for name, program in agents.items()
-        }
+        models = {}
+        for name, program in agents.items():
+            closure, memo = rules[name]
+            seeds = frozenset(unit_names(units[name], program.external_names))
+            model = memo.get(seeds)
+            if model is None:
+                model = memo[seeds] = closure(seeds)
+            models[name] = model
         rounds.append(EvolutionRound(units, models))
 
         nxt: dict[str, set[Atom]] = {name: set() for name in agents}

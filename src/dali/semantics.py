@@ -28,9 +28,10 @@ for that initial situation.  `HornRules` computes it by a watched-atom
 closure: a clause is looked at only once its first body atom holds, so
 the cost follows the clauses that come near firing, and a clause guarded
 by an event that never happens costs nothing.  Only the unit clauses
-depend on the situation, so a caller that needs many snapshots of one
-agent (`evolve_system`) compiles the rules once into `HornRules` and
-feeds each situation's `unit_names` to it as seeds.
+depend on the situation, so a caller that needs many snapshots
+(`evolve_system`) compiles each distinct P' once into `HornRules`,
+shared by the agents whose P' is equal, and feeds each situation's
+`unit_names` to it as seeds.
 """
 
 from __future__ import annotations
@@ -75,13 +76,14 @@ class InitialSituation:
     """Events assumed true at the beginning of the snapshot.
 
     Entries are plain external/internal event atoms, or past-marked
-    event atoms for things remembered from before.
+    event atoms for things remembered from before.  A repeated entry is
+    dropped and the first occurrences keep their order.
     """
 
     events: tuple[Atom, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "events", tuple(self.events))
+        object.__setattr__(self, "events", tuple(dict.fromkeys(self.events)))
 
     def validated(self, program: AgentProgram) -> "InitialSituation":
         events = program.event_names

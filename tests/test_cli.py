@@ -250,6 +250,26 @@ class TestTransform:
         assert "a :- p, b." in out
         assert "% action-transform" in out
 
+    def test_repeated_init_events_give_one_unit_clause_each(self, capsys, scenario_dir):
+        """A repeated entry of `--init` is dropped, and the first
+        occurrences keep their order."""
+        argv = ["transform", str(scenario_dir / "consumer.dali"), "--init", "ping,ping"]
+        assert run_cli(capsys, *argv) == (0, (
+            "agent Consumer.\n"
+            "ping :- ping, log_it.       % reactive-transform\n"
+            "past_ping :- ping, log_it.  % past-transform\n"
+            "log_it :- ping.             % action-transform\n"
+            "ping.                       % initial-event\n"
+            "now_ping.                   % initial-event\n"
+        ), "")
+        init = "past(alarm_clock_rings),my_god_its_late,alarm_clock_rings," * 2
+        argv = ["transform", str(scenario_dir / "mary.dali"), "--init", init]
+        _, out, _ = run_cli(capsys, *argv)
+        assert [line.split()[0] for line in out.splitlines() if "initial-event" in line] == [
+            "past_alarm_clock_rings.", "my_god_its_late.",
+            "alarm_clock_rings.", "now_alarm_clock_rings.",
+        ]
+
     def test_undeclared_init_event_is_exit_3(self, capsys, scenario_dir):
         code, _, err = run_cli(
             capsys,

@@ -1,11 +1,12 @@
 import re
+from collections import Counter
 from operator import itemgetter
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dali import model, runtime
+from dali import model, runtime, semantics
 from dali.engine import ACTIVE, Engine, Strategy
 from dali.errors import DaliConfigError, DaliSyntaxError, DaliValidationError, SourceSpan
 from dali.model import ACTION, ORDINARY, REACTIVE, AgentProgram, Atom, Clause
@@ -17,7 +18,7 @@ from dali.runtime import (
     evolve_system,
     load_system_config,
 )
-from dali.semantics import InitialSituation, least_model, transform_program
+from dali.semantics import RULE_INIT, InitialSituation, least_model, transform_program
 
 
 def resolve(mapping, producer, action, consumer):
@@ -474,9 +475,13 @@ def agent_clauses(draw, externals, internals, actions):
 def routed_systems(draw):
     """2-5 agents, listed out of name order, drawing externals and
     actions from one name pool, internals from another, and reactive,
-    ordinary and action rules over them; and map entries that
-    `SystemConfig.validate` accepts.  An agent may declare one of its
-    actions as external too: routing must still never feed it back."""
+    ordinary and action rules over them; then up to two twins, each a
+    copy of an agent's clauses and roles under a fresh name, which may
+    also declare one more external event, so that it shares the agent's
+    P' but not its `now_` seeds, all listed in a new order; and map
+    entries that `SystemConfig.validate` accepts.  An agent may declare
+    one of its actions as external too: routing must still never feed it
+    back."""
     agents = {}
     for i in draw(st.permutations(range(draw(st.integers(2, 5))))):
         name = f"A{i}"
@@ -490,6 +495,15 @@ def routed_systems(draw):
             internals=internals,
             actions=actions,
         )
+    for k, original in enumerate(draw(st.lists(st.sampled_from(sorted(agents)), max_size=2))):
+        p = agents[original]
+        externals = p.externals
+        extra = [e for e in POOL if e not in p.external_names]
+        if extra and draw(st.booleans()):
+            externals += (Atom(draw(st.sampled_from(extra))),)
+        agents[f"T{k}"] = AgentProgram(f"T{k}", p.clauses, externals, p.internals, p.actions)
+    if "T0" in agents:
+        agents = dict(draw(st.permutations(list(agents.items()))))
     valid = [
         (p, a.name, c, e.name)
         for p, prog in agents.items()
@@ -882,6 +896,27 @@ def test_step_calls_match_stepping_every_agent_with_a_delivery(config, data):
     check_step_calls_match_stepping_every_agent(config, data, (producer, Atom("cue")))
 
 
+@pytest.fixture
+def horn_calls(monkeypatch) -> Counter:
+    """The `HornRules` compilations and closures made while the test
+    runs, counted under "compilations" and "closures"."""
+    calls = Counter()
+    cls = semantics.HornRules
+    init, closure = cls.__init__, cls.closure
+
+    def spied_init(self, clauses):
+        calls["compilations"] += 1
+        init(self, clauses)
+
+    def spied_closure(self, seeds=()):
+        calls["closures"] += 1
+        return closure(self, seeds)
+
+    monkeypatch.setattr(cls, "__init__", spied_init)
+    monkeypatch.setattr(cls, "closure", spied_closure)
+    return calls
+
+
 class TestEvolution:
     @pytest.mark.parametrize(
         "event,message",
@@ -957,6 +992,45 @@ class TestEvolution:
         assert trace.reached_fixpoint is fixpoint
         for i in range(agents):
             assert f"go_{i + 1}" in trace.rounds[i].models[f"R{i}"]
+
+    def test_twins_share_rules_and_closures(self, fan_system, horn_calls):
+        """The fan system's ten consumers have one P', so its eleven
+        agents take two compilations.  Its three rounds close the hub
+        under {kick, now_kick}, then twice under {past_kick}, and every
+        consumer under {}, then {ping, now_ping}, then {past_ping}: five
+        distinct seed sets, so five closures where there are 33 models."""
+        trace = evolve_system(load_system_config(fan_system), {"Hub": [Atom("kick")]})
+        assert len(trace.rounds) == 3 and trace.reached_fixpoint
+        assert horn_calls == {"compilations": 2, "closures": 5}
+
+    def test_one_closure_per_distinct_rules_and_seeds(self, horn_calls):
+        """A relay of ten agents, each of which also derives an internal
+        event from its past `go`, so that most agents see the same seeds
+        round after round.  Brute force over the trace's rounds: each
+        agent's P' rebuilt from that round's units splits into its rules
+        and its unit clauses, and one evolution compiles once per
+        distinct rules and closes once per distinct (rules, units) pair."""
+        config = SystemConfig({
+            f"R{i}": parse_agent_file(
+                f"agent R{i}. @external go_{i}. @internal rest_{i}. @action go_{i + 1}. "
+                f"go_{i} :> go_{i + 1}. rest_{i} :- past(go_{i}). rest_{i} :> noted. noted."
+            )
+            for i in range(10)
+        })
+        trace = evolve_system(config, {"R0": [Atom("go_0")]})
+        calls = dict(horn_calls)
+        assert trace.reached_fixpoint
+        pairs = set()
+        for rnd in trace.rounds:
+            for name, program in config.agents.items():
+                tp = transform_program(program, InitialSituation(tuple(rnd.units[name])))
+                rules = tuple(c for c in tp.clauses if c.rule != RULE_INIT)
+                pairs.add((rules, frozenset(c.head for c in tp.clauses if c.rule == RULE_INIT)))
+        assert calls == {
+            "compilations": len({rules for rules, _ in pairs}),
+            "closures": len(pairs),
+        }
+        assert len(pairs) < len(trace.rounds) * len(config.agents)
 
     def test_units_follow_previous_models(self, ping_config):
         trace = evolve_system(ping_config)
