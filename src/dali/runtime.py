@@ -16,15 +16,20 @@ that receive it.  `run()` formats no drop warning: its `SystemResult`
 formats them the first time its `warnings` is read, as `EvolutionTrace`
 does, and they are fixed when the run ends.  The CLI writes each batch
 of them to stderr in one call.  `load_system_config` validates each
-agent program, and `Engine` reuses the report kept on it.
+agent program, and `Engine` reuses the report kept on it.  A
+`SystemConfig` checks its script and map entries when it is built,
+loaded or not, so neither the runner nor the broadcast checks them again.
 
 The same broadcast rule drives `evolve_system`, which iterates snapshot
-models instead of the interpreter.  It compiles each distinct P' once,
-shared by the agents whose P' is equal; each round feeds the rules the
-unit clauses of the previous round's derived events (actions travel to
-the other agents, internal and past events stay home) until the unit
-clauses stop changing.  An agent's rules are closed again only for a
-seed set they have not closed before, in any round or for any agent.
+models instead of the interpreter.  One pass over the agents checks
+their initial situations and builds one record per agent; each distinct
+P' is compiled once, shared by the agents whose P' is equal.  Each round
+is one pass over the records: it feeds an agent's rules the unit clauses
+of the previous round's derived events (actions travel to the other
+agents, internal and past events stay home), collects its own units and
+routes its derived actions, until the unit clauses stop changing.  An
+agent's rules are closed again only for a seed set they have not closed
+before, in any round or for any agent.
 
 System config files are plain text, one directive per line, blanks
 between a directive and its argument, paths relative to the config file
@@ -87,23 +92,25 @@ class ChannelMapping:
 
 @frozen
 class SystemConfig:
+    """The agents of a system, in order, with its script, its channel
+    mapping and its tick and step limits.  A config is checked when it
+    is built, whether loaded or built in code: a script entry or map
+    entry that names an unknown agent or an undeclared event raises
+    `DaliConfigError`, at the line it was loaded from, if it was."""
+
     agents: dict[str, AgentProgram]
     script: EventScript = field(default_factory=EventScript)
     mapping: ChannelMapping = field(default_factory=ChannelMapping)
     max_ticks: int = 100
     budget: int = 50
 
-    def validate(self) -> None:
-        """Raise `DaliConfigError` at the first script entry or map entry
-        that names an unknown agent or an undeclared event, at the line it
-        was loaded from, if it was."""
+    def __post_init__(self):
         for entry in self.script.entries:
             if entry.agent not in self.agents:
                 raise DaliConfigError(
                     f"script targets unknown agent '{entry.agent}'", entry.span
                 )
-            program = self.agents[entry.agent]
-            if entry.event.name not in program.external_names:
+            if entry.event.name not in self.agents[entry.agent].external_names:
                 raise DaliConfigError(
                     f"script event '{entry.event.name}' is not a declared "
                     f"external event of agent {entry.agent}", entry.span
@@ -143,7 +150,7 @@ def _load_named(load, path: Path, span: SourceSpan):
 
 
 def load_system_config(path) -> SystemConfig:
-    """Parse and validate a system config file and everything it names."""
+    """Parse and check a system config file and everything it names."""
     path = Path(path)
     base = path.parent
     agents: dict[str, AgentProgram] = {}
@@ -184,9 +191,7 @@ def load_system_config(path) -> SystemConfig:
             raise DaliSyntaxError(f"unknown config directive {key!r}", span)
 
     mapping = ChannelMapping(tuple(mappings), tuple(map_spans))
-    config = SystemConfig(agents, mapping=mapping, **settings)
-    config.validate()
-    return config
+    return SystemConfig(agents, mapping=mapping, **settings)
 
 
 class _Broadcast:
@@ -209,7 +214,6 @@ class _Broadcast:
     """
 
     def __init__(self, config: SystemConfig, kind: str):
-        self.agents = config.agents
         self.kind = kind  # how warnings name the action
         self._order = {name: i for i, name in enumerate(config.agents)}
         self._subscribers: dict[str, list[str]] = {}  # event -> agents, in order
@@ -245,11 +249,10 @@ class _Broadcast:
             hits = {
                 c: action for c in self._subscribers.get(action, ()) if c not in mapped
             }
-            for c, e in mapped.items():
-                if e in self.agents[c].external_names:
-                    hits[c] = e
+            hits.update(mapped)
             hits.pop(producer, None)
-            # Each event is a declared external of its consumer.
+            # Each event is a declared external of its consumer: the
+            # config checked every mapped one when it was built.
             route = self.routes[key] = tuple(
                 (c, Atom._unchecked(hits[c]))
                 for c in sorted(hits, key=self._order.__getitem__)
@@ -447,74 +450,72 @@ def evolve_system(
 ) -> EvolutionTrace:
     """Iterate per-agent snapshot models until the derived events settle.
 
-    Each distinct P' is compiled once, and agents whose P' is equal
-    share its rules.  Each round takes every agent's least model of its
-    rules plus the current unit clauses, closing the rules only for a
-    seed set they have not closed before in this call, and then extracts
-    events for the next round: an agent's derived actions become
-    external-event units of every other agent (via the channel mapping),
-    its internal events and past events become its own units.  Past
-    units accumulate; external units are replaced each round.  The trace
-    keeps the drops as the routes the broadcast built, and formats their
-    warnings the first time `warnings` is read, in first-routed order:
-    round by round, producers in agent order, each one's actions in
-    declaration order.  Only `init` is validated, since the units derived
-    from it are declared events by construction; a key of `init` that
-    names no agent is a `DaliConfigError`.
+    One setup pass builds a record per agent: its initial units, its
+    rules, shared with the agents whose P' is equal (each distinct P' is
+    compiled once), and the model atoms that become its own units.
+    Each round is then one pass over the records.  It takes an agent's
+    least model of its rules plus the current unit clauses, closing the
+    rules only for a seed set they have not closed before in this call,
+    and extracts that agent's events for the next round: its derived
+    actions become external-event units of every other agent (via the
+    channel mapping), its internal events and past events its own units.
+    Past units accumulate; external units are replaced each round.  The
+    trace keeps the drops as the routes the broadcast built, and formats
+    their warnings the first time `warnings` is read, in first-routed
+    order: round by round, producers in agent order, each one's actions
+    in declaration order.  Only `init` is validated, once per agent it
+    names, since the units derived from it are declared events by
+    construction; a key of `init` that names no agent is a
+    `DaliConfigError`.
     """
     init = init or {}
     agents = config.agents
     for name in init:
         if name not in agents:
             raise DaliConfigError(f"init names unknown agent '{name}'")
-    units: dict[str, frozenset[Atom]] = {
-        name: frozenset(InitialSituation(init.get(name, ())).validated(program).events)
-        for name, program in agents.items()
-    }
+    units: dict[str, frozenset[Atom]] = {}
     # P' clauses -> (closure, seeds -> model): a closure reads only the
     # two, so agents whose P' is equal share the rules and their models.
     compiled: dict[tuple, tuple] = {}
-    rules = {}
+    # One record per agent: its name, external names, closure and model
+    # memo, the (model atom, unit) pairs of its own units for the next
+    # round, and its action names.
+    records = []
+    past = MARKER_PREFIX[PAST]
     for name, program in agents.items():
+        events = init.get(name, ())  # built and checked only when given
+        units[name] = frozenset(events and InitialSituation(events).validated(program).events)
         clauses = transform_program(program).clauses
-        entry = compiled.get(clauses)
-        if entry is None:
-            entry = compiled[clauses] = (HornRules(clauses).closure, {})
-        rules[name] = entry
-    # The model atoms that become an agent's own units next round.
-    own_units = {
-        name: tuple((a.name, a) for a in program.internals)
-        + tuple(
-            (MARKER_PREFIX[PAST] + e, Atom._unchecked(e, PAST)) for e in program.event_names
-        )
-        for name, program in agents.items()
-    }
+        shared = compiled.get(clauses)
+        if shared is None:
+            shared = compiled[clauses] = (HornRules(clauses).closure, {})
+        own = [(a.name, a) for a in program.internals]
+        own += [(past + e, Atom._unchecked(e, PAST)) for e in program.event_names]
+        actions = tuple([a.name for a in program.actions])
+        records.append((name, program.external_names, *shared, own, actions))
     rounds: list[EvolutionRound] = []
     broadcast = _Broadcast(config, "derived action")
+    route = broadcast.route
     reached_fixpoint = False
 
     for _ in range(MAX_EVOLUTION_ROUNDS):
         models = {}
-        for name, program in agents.items():
-            closure, memo = rules[name]
-            seeds = frozenset(unit_names(units[name], program.external_names))
+        nxt: dict[str, set[Atom]] = {name: set() for name in agents}
+        for name, externals, closure, memo, own_units, actions in records:
+            seeds = frozenset(unit_names(units[name], externals))
             model = memo.get(seeds)
             if model is None:
                 model = memo[seeds] = closure(seeds)
             models[name] = model
-        rounds.append(EvolutionRound(units, models))
-
-        nxt: dict[str, set[Atom]] = {name: set() for name in agents}
-        for name, program in agents.items():
-            mine = models[name]
             own = nxt[name]
-            for key, atom in own_units[name]:
-                if key in mine:
+            for key, atom in own_units:
+                if key in model:
                     own.add(atom)
-            for act in program.actions:
-                if act.name in mine:
-                    for consumer, atom in broadcast.route(name, act.name):
+            for act in actions:
+                if act in model:
+                    for consumer, atom in route(name, act):
                         nxt[consumer].add(atom)
+        rounds.append(EvolutionRound(units, models))
         next_units = {name: frozenset(atoms) for name, atoms in nxt.items()}
 
         if next_units == units:

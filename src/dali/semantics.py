@@ -102,8 +102,13 @@ class InitialSituation:
         return self
 
 
+# What `transform_program` uses when given no initial situation: one
+# frozen instance that every call shares.
+NO_EVENTS = InitialSituation()
+
+
 def transform_program(
-    p: AgentProgram, init: InitialSituation | Iterable[Atom] = ()
+    p: AgentProgram, init: InitialSituation | Iterable[Atom] = NO_EVENTS
 ) -> TransformedProgram:
     """Build P' from a validated agent program and an initial situation.
 

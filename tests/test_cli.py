@@ -422,9 +422,10 @@ class TestBadIdentifier:
 class TestMalformedInput:
     """`dali model` on a file with a form feed, a name that starts with
     `é`, or a comment that ends the file, and `dali run` and `dali repl`
-    on a system config whose `map` line names an unknown agent: exit 3
-    and one `file:line:column` line, pinned in `malformed/NAME.model.err`
-    or `malformed/NAME.run.err`."""
+    on a system config whose `map` line, or whose script's entry, names
+    an unknown agent: exit 3 and one `file:line:column` line in the
+    fixture's own config or events file, pinned in
+    `malformed/NAME.model.err` or `malformed/NAME.run.err`."""
 
     @pytest.mark.parametrize("name", MALFORMED)
     def test_exit_3_with_the_pinned_message(self, name):
@@ -439,7 +440,7 @@ class TestMalformedInput:
         monkeypatch.setattr("sys.stdin", io.StringIO("quit\n"))
         path = f"tests/data/cli/malformed/{name}.system"
         err = (CLI_DATA / "malformed" / f"{name}.run.err").read_text(encoding="utf-8")
-        assert err.startswith(f"{path}:") and err.count("\n") == 1
+        assert err.startswith(f"tests/data/cli/malformed/{name}.") and err.count("\n") == 1
         assert pinned_run(name, command, path) == (3, "", err)
 
 
@@ -660,11 +661,11 @@ class TestConfigBlanks:
 
 
 class TestConfigErrorPositions:
-    """Each check of `SystemConfig.validate` is reported at the `map` line
-    or the events-file line at fault; a second `script`, `max_ticks` or
-    `budget` line, a second agent of one name and a malformed `map` line
-    are errors at their config line, and a malformed entry at its
-    events-file line."""
+    """Each check a `SystemConfig` makes when built is reported at the
+    `map` line or the events-file line at fault; a second `script`,
+    `max_ticks` or `budget` line, a second agent of one name and a
+    malformed `map` line are errors at their config line, and a malformed
+    entry at its events-file line."""
 
     # id: (config lines after the two agents, s.events, expected stderr)
     CASES = {

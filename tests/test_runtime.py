@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from collections import Counter
 from operator import itemgetter
@@ -106,15 +107,28 @@ class TestConfigLoading:
         assert config.mapping == ChannelMapping((("A", "x", "B", "f"),))
 
     def test_validate_of_a_config_built_in_code_has_no_position(self):
-        agents = {"A": AgentProgram("A", externals=(Atom("e"),), actions=(Atom("x"),))}
+        """A config built in code is checked when built, as a loaded one
+        is, with no position.  Unchecked, an unknown agent was a
+        `KeyError` when the config ran, and an undeclared mapped event
+        dropped every delivery on it with a warning."""
+        agents = {
+            "A": AgentProgram("A", externals=(Atom("e"),), actions=(Atom("x"),)),
+            "C": AgentProgram("C", externals=(Atom("e"),)),
+        }
         script = EventScript((ScriptEntry(0, "B", Atom("e")),))
-        mapping = ChannelMapping((("A", "x", "B", "e"),))
-        for config, message in [
-            (SystemConfig(agents, script), "script targets unknown agent 'B'"),
-            (SystemConfig(agents, mapping=mapping), "map target 'B' is not a known agent"),
+        for kwargs, message in [
+            ({"script": script}, "script targets unknown agent 'B'"),
+            (
+                {"mapping": ChannelMapping((("A", "x", "B", "e"),))},
+                "map target 'B' is not a known agent",
+            ),
+            (
+                {"mapping": ChannelMapping((("A", "x", "C", "bell"),))},
+                "'bell' is not a declared external event of agent C",
+            ),
         ]:
             with pytest.raises(DaliConfigError) as exc:
-                config.validate()
+                SystemConfig(agents, **kwargs)
             assert (str(exc.value), exc.value.span) == (message, None)
 
 
@@ -135,9 +149,7 @@ class TestChannelMapping:
                 ("A", "ping", "B", "later"),
             )
         )
-        config = SystemConfig(agents, mapping=mapping)
-        config.validate()
-        broadcast = runtime._Broadcast(config, "action")
+        broadcast = runtime._Broadcast(SystemConfig(agents, mapping=mapping), "action")
         assert broadcast.route("A", "ping") == (("B", Atom("pong")), ("C", Atom("knock")))
         assert broadcast.route("B", "ping") == (("C", Atom("ping")),)  # identity
         assert broadcast.route("A", "other") == (("B", Atom("other")),)
@@ -479,7 +491,7 @@ def routed_systems(draw):
     copy of an agent's clauses and roles under a fresh name, which may
     also declare one more external event, so that it shares the agent's
     P' but not its `now_` seeds, all listed in a new order; and map
-    entries that `SystemConfig.validate` accepts.  An agent may declare
+    entries that `SystemConfig` accepts.  An agent may declare
     one of its actions as external too: routing must still never feed it
     back."""
     agents = {}
@@ -513,9 +525,7 @@ def routed_systems(draw):
         for e in cprog.externals
     ]
     entries = draw(st.lists(st.sampled_from(valid), max_size=6)) if valid else []
-    config = SystemConfig(agents, mapping=ChannelMapping(tuple(entries)))
-    config.validate()
-    return config
+    return SystemConfig(agents, mapping=ChannelMapping(tuple(entries)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -781,15 +791,13 @@ def delivering_systems(draw):
     agents[consumer] = AgentProgram(consumer, clauses, externals, c.internals, c.actions)
     assert all(model.validate_program(agents[n]).ok for n in (producer, consumer))
     entry = (producer, action.name, consumer, event.name)
-    config = SystemConfig(
+    return SystemConfig(
         agents,
         EventScript((ScriptEntry(0, producer, cue), *config.script.entries)),
         ChannelMapping((entry, *config.mapping.entries)),
         max_ticks=draw(st.integers(8, 16)),
         budget=config.budget,
     )
-    config.validate()
-    return config
 
 
 def assert_same_system(runner, ref):
@@ -894,6 +902,66 @@ def test_step_calls_match_stepping_every_agent(config, data):
 def test_step_calls_match_stepping_every_agent_with_a_delivery(config, data):
     producer = config.script.entries[0].agent  # whose `cue` starts the delivery
     check_step_calls_match_stepping_every_agent(config, data, (producer, Atom("cue")))
+
+
+@st.composite
+def with_a_quiet_agent(draw, config):
+    """`config` with one more agent, last in the agent order, that
+    declares no event and no action: only ordinary rules over plain
+    heads, if any."""
+    quiet = AgentProgram("Quiet", draw(agent_clauses((), (), ())))
+    return dataclasses.replace(config, agents={**config.agents, "Quiet": quiet})
+
+
+def with_drops_at_the_quiet_agent(warnings, routes, kind):
+    """`warnings` plus one drop at the agent `Quiet` for each routed
+    (producer, action) pair, at the end of that pair's block."""
+    blocks = {pair: [] for pair in routes}
+    for w, (p, a, _) in zip(warnings, dropped(warnings)):
+        blocks[p, a].append(w)
+    return tuple(
+        w
+        for (p, a), block in blocks.items()
+        for w in [*block, f"{kind} '{a}' by {p} has no external event at Quiet; dropped"]
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_quiet_agent_changes_only_the_drops_of_an_evolution(data):
+    """Metamorphic: an agent that declares no event and no action leaves
+    every other agent's rounds and the fixpoint flag as they were, and
+    adds one drop per routed (producer, action) pair."""
+    config = data.draw(routed_systems())
+    init = draw_init(config, data)
+    trace = evolve_system(config, init)
+    quiet = evolve_system(data.draw(with_a_quiet_agent(config)), init)
+    assert [
+        ({n: r.units[n] for n in config.agents}, {n: r.models[n] for n in config.agents})
+        for r in quiet.rounds
+    ] == [(r.units, r.models) for r in trace.rounds]
+    assert quiet.reached_fixpoint == trace.reached_fixpoint
+    expected = with_drops_at_the_quiet_agent(
+        trace.warnings, trace.drops.routes, "derived action"
+    )
+    assert quiet.warnings == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(scripted_systems(), delivering_systems()), st.data())
+def test_a_quiet_agent_changes_only_the_drops_of_a_run(config, data):
+    """Metamorphic: an agent that declares no event and no action leaves
+    every other agent's trace, the quiescence and the ticks of a run as
+    they were, and adds one drop per routed (producer, action) pair.
+    Few scripted systems perform an action, so half the configs are
+    drawn with a delivery."""
+    runner = SystemRunner(config)
+    result = runner.run()
+    quiet = SystemRunner(data.draw(with_a_quiet_agent(config))).run()
+    assert tuple(e for e in quiet.trace if e[0] != "Quiet") == result.trace
+    assert (quiet.quiescent, quiet.ticks) == (result.quiescent, result.ticks)
+    routes = runner._broadcast.routes
+    assert quiet.warnings == with_drops_at_the_quiet_agent(result.warnings, routes, "action")
 
 
 @pytest.fixture
@@ -1002,6 +1070,18 @@ class TestEvolution:
         trace = evolve_system(load_system_config(fan_system), {"Hub": [Atom("kick")]})
         assert len(trace.rounds) == 3 and trace.reached_fixpoint
         assert horn_calls == {"compilations": 2, "closures": 5}
+
+    def test_each_init_is_built_once(self, fan_system, monkeypatch):
+        """Of the fan system's eleven agents only the hub has an init,
+        and one evolution builds one `InitialSituation`: none for the
+        agents with no init, and none for a P' built with no init."""
+        built = []
+        post_init = semantics.InitialSituation.__post_init__
+        monkeypatch.setattr(
+            semantics.InitialSituation, "__post_init__", lambda s: built.append(s) or post_init(s)
+        )
+        evolve_system(load_system_config(fan_system), {"Hub": [Atom("kick")]})
+        assert [s.events for s in built] == [(Atom("kick"),)]
 
     def test_one_closure_per_distinct_rules_and_seeds(self, horn_calls):
         """A relay of ten agents, each of which also derives an internal
