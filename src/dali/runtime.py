@@ -22,14 +22,16 @@ loaded or not, so neither the runner nor the broadcast checks them again.
 
 The same broadcast rule drives `evolve_system`, which iterates snapshot
 models instead of the interpreter.  One pass over the agents checks
-their initial situations and builds one record per agent; each distinct
-P' is compiled once, shared by the agents whose P' is equal.  Each round
-is one pass over the records: it feeds an agent's rules the unit clauses
-of the previous round's derived events (actions travel to the other
-agents, internal and past events stay home), collects its own units and
-routes its derived actions, until the unit clauses stop changing.  An
-agent's rules are closed again only for a seed set they have not closed
-before, in any round or for any agent.
+their initial situations and builds one record per agent.  Agents that
+differ only in name share one record of their rules and model memo, so
+each distinct program up to its name is transformed and compiled once;
+each agent keeps its own name and action order.  Each round is one pass
+over the records: it feeds an agent's rules the unit clauses of the
+previous round's derived events (actions travel to the other agents,
+internal and past events stay home), collects its own units and routes
+its derived actions, until the unit clauses stop changing.  An agent's
+rules are closed again only for units they have not closed before, in
+any round or for any agent that shares them.
 
 System config files are plain text, one directive per line, blanks
 between a directive and its argument, paths relative to the config file
@@ -63,7 +65,7 @@ from .model import MARKER_PREFIX, PAST, AgentProgram, Atom, validate_program
 from .parser import (
     EventScript, content_lines, load_agent_file, load_event_script, parse_int, read_source
 )
-# `evolve_system` compiles each distinct P' once and so never calls
+# `evolve_system` closes compiled `HornRules` and so never calls
 # `least_model`; the name stays here because bench/tracing.py wraps it.
 from .semantics import (  # noqa: F401
     HornRules,
@@ -444,26 +446,40 @@ class EvolutionTrace:
         return self.drops.warnings()
 
 
+def _shared_record(program: AgentProgram) -> tuple:
+    """What the agents equal to `program` up to their names share in an
+    evolution: the closure of its P' rules, a memo from a round's units
+    to the model, its external names, and the (model atom, unit) pairs
+    of its own units for the next round."""
+    past = MARKER_PREFIX[PAST]
+    own = [(a.name, a) for a in program.internals]
+    own += [(past + e, Atom._unchecked(e, PAST)) for e in program.event_names]
+    closure = HornRules(transform_program(program).clauses).closure
+    return closure, {}, program.external_names, own
+
+
 def evolve_system(
     config: SystemConfig,
     init: dict[str, Iterable[Atom]] | None = None,
 ) -> EvolutionTrace:
     """Iterate per-agent snapshot models until the derived events settle.
 
-    One setup pass builds a record per agent: its initial units, its
-    rules, shared with the agents whose P' is equal (each distinct P' is
-    compiled once), and the model atoms that become its own units.
-    Each round is then one pass over the records.  It takes an agent's
-    least model of its rules plus the current unit clauses, closing the
-    rules only for a seed set they have not closed before in this call,
-    and extracts that agent's events for the next round: its derived
-    actions become external-event units of every other agent (via the
-    channel mapping), its internal events and past events its own units.
-    Past units accumulate; external units are replaced each round.  The
-    trace keeps the drops as the routes the broadcast built, and formats
-    their warnings the first time `warnings` is read, in first-routed
-    order: round by round, producers in agent order, each one's actions
-    in declaration order.  Only `init` is validated, once per agent it
+    One setup pass builds a record per agent: its name, its action names
+    in its own declaration order, and a record shared with every agent
+    whose program is equal up to its name (same clauses, same external,
+    internal and action name sets), which is transformed and compiled
+    once and keeps the models of its rules by units.  Each round is
+    then one pass over the records.  It takes an agent's least model of
+    its rules plus the current unit clauses, closing the rules only for
+    units its shared record has not seen in this call, and extracts that
+    agent's events for the next round: its derived actions become
+    external-event units of every other agent (via the channel mapping),
+    its internal events and past events its own units.  Past units
+    accumulate; external units are replaced each round.  The trace keeps
+    the drops as the routes the broadcast built, and formats their
+    warnings the first time `warnings` is read, in first-routed order:
+    round by round, producers in agent order, each one's actions in its
+    declaration order.  Only `init` is validated, once per agent it
     names, since the units derived from it are declared events by
     construction; a key of `init` that names no agent is a
     `DaliConfigError`.
@@ -474,25 +490,18 @@ def evolve_system(
         if name not in agents:
             raise DaliConfigError(f"init names unknown agent '{name}'")
     units: dict[str, frozenset[Atom]] = {}
-    # P' clauses -> (closure, seeds -> model): a closure reads only the
-    # two, so agents whose P' is equal share the rules and their models.
-    compiled: dict[tuple, tuple] = {}
-    # One record per agent: its name, external names, closure and model
-    # memo, the (model atom, unit) pairs of its own units for the next
-    # round, and its action names.
+    shared_records: dict[tuple, tuple] = {}
     records = []
-    past = MARKER_PREFIX[PAST]
     for name, program in agents.items():
         events = init.get(name, ())  # built and checked only when given
         units[name] = frozenset(events and InitialSituation(events).validated(program).events)
-        clauses = transform_program(program).clauses
-        shared = compiled.get(clauses)
+        key = (
+            program.external_names, program.internal_names, program.action_names, program.clauses
+        )
+        shared = shared_records.get(key)
         if shared is None:
-            shared = compiled[clauses] = (HornRules(clauses).closure, {})
-        own = [(a.name, a) for a in program.internals]
-        own += [(past + e, Atom._unchecked(e, PAST)) for e in program.event_names]
-        actions = tuple([a.name for a in program.actions])
-        records.append((name, program.external_names, *shared, own, actions))
+            shared = shared_records[key] = _shared_record(program)
+        records.append((name, tuple([a.name for a in program.actions]), *shared))
     rounds: list[EvolutionRound] = []
     broadcast = _Broadcast(config, "derived action")
     route = broadcast.route
@@ -501,11 +510,12 @@ def evolve_system(
     for _ in range(MAX_EVOLUTION_ROUNDS):
         models = {}
         nxt: dict[str, set[Atom]] = {name: set() for name in agents}
-        for name, externals, closure, memo, own_units, actions in records:
-            seeds = frozenset(unit_names(units[name], externals))
-            model = memo.get(seeds)
+        for name, actions, closure, memo, externals, own_units in records:
+            # A frozenset caches its hash, so a memo hit reads no unit.
+            mine = units[name]
+            model = memo.get(mine)
             if model is None:
-                model = memo[seeds] = closure(seeds)
+                model = memo[mine] = closure(unit_names(mine, externals))
             models[name] = model
             own = nxt[name]
             for key, atom in own_units:

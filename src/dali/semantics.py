@@ -29,9 +29,9 @@ closure: a clause is looked at only once its first body atom holds, so
 the cost follows the clauses that come near firing, and a clause guarded
 by an event that never happens costs nothing.  Only the unit clauses
 depend on the situation, so a caller that needs many snapshots
-(`evolve_system`) compiles each distinct P' once into `HornRules`,
-shared by the agents whose P' is equal, and feeds each situation's
-`unit_names` to it as seeds.
+(`evolve_system`) transforms and compiles each distinct agent program
+up to its name once into `HornRules`, shared by the agents that differ
+only in name, and feeds each situation's `unit_names` to it as seeds.
 """
 
 from __future__ import annotations

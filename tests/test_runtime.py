@@ -1,7 +1,9 @@
 import dataclasses
+import importlib
 import re
 from collections import Counter
 from operator import itemgetter
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,7 +21,9 @@ from dali.runtime import (
     evolve_system,
     load_system_config,
 )
-from dali.semantics import RULE_INIT, InitialSituation, least_model, transform_program
+from dali.semantics import RULE_INIT, InitialSituation, least_model, snapshot, transform_program
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def resolve(mapping, producer, action, consumer):
@@ -483,23 +487,36 @@ def agent_clauses(draw, externals, internals, actions):
     return tuple(clauses)
 
 
+def roles(pool):
+    """Lists of up to three names from `pool`, drawn non-empty half the
+    time, so that more agents both hear an event and act."""
+    names = st.sampled_from(pool)
+    return st.lists(names, min_size=1, max_size=3) | st.lists(names, max_size=3)
+
+
 @st.composite
 def routed_systems(draw):
     """2-5 agents, listed out of name order, drawing externals and
-    actions from one name pool, internals from another, and reactive,
+    actions from one name pool (the actions, half the time, from the
+    names the agent does not hear), internals from another, and reactive,
     ordinary and action rules over them; then up to two twins, each a
-    copy of an agent's clauses and roles under a fresh name, which may
-    also declare one more external event, so that it shares the agent's
-    P' but not its `now_` seeds, all listed in a new order; and map
+    copy of an agent's clauses and roles under a fresh name, all listed
+    in a new order: an exact twin shares the agent's record in
+    `evolve_system`, and one that also declares one more external event
+    is a near-twin that must keep its own record and `now_` seeds; and map
     entries that `SystemConfig` accepts.  An agent may declare
     one of its actions as external too: routing must still never feed it
     back."""
     agents = {}
     for i in draw(st.permutations(range(draw(st.integers(2, 5))))):
         name = f"A{i}"
-        externals = tuple(map(Atom, draw(st.lists(st.sampled_from(POOL), max_size=3))))
+        externals = draw(roles(POOL))
         internals = tuple(map(Atom, draw(st.lists(st.sampled_from(INTERNAL_POOL), max_size=2))))
-        actions = tuple(map(Atom, draw(st.lists(st.sampled_from(POOL), max_size=3))))
+        # An agent that declares a name both ways is invalid, and
+        # `scripted_systems` leaves it out.
+        apart = [n for n in POOL if n not in externals]
+        actions = tuple(map(Atom, draw(roles(apart) | roles(POOL))))
+        externals = tuple(map(Atom, externals))
         agents[name] = AgentProgram(
             name,
             clauses=draw(agent_clauses(externals, internals, actions)),
@@ -728,32 +745,39 @@ def scripted_systems(draw):
     event they declare with one of their actions, when they have one
     (the first reactive rule of an event is its reaction), cut down to
     its valid agents; with a script over their externals, a budget of
-    1-4 and a tick limit."""
+    1-4 and a tick limit of 0-12.  Each of these choices is drawn half
+    the time from the part of its range that makes an action happen and
+    half the time from the whole range, so the bias narrows nothing: a
+    reaction performs an action with no action rule, a script entry
+    cues such a reaction, the budget is 4 and the tick limit 8-12."""
     config = draw(routed_systems())
-    agents = {}
+    agents, cues = {}, []
     for name, p in config.agents.items():
-        first = tuple(
-            Clause(e, (draw(st.sampled_from(p.actions)),), REACTIVE)
-            for e in p.externals
-            if p.actions
-        )
+        free = [a for a in p.actions if p.action_clause(a.name) is None]
+        action = st.sampled_from(p.actions)
+        if free:
+            action = st.sampled_from(free) | action
+        first = tuple(Clause(e, (draw(action),), REACTIVE) for e in p.externals if p.actions)
         p = AgentProgram(name, first + p.clauses, p.externals, p.internals, p.actions)
         if model.validate_program(p).ok:
             agents[name] = p
+            cues += [(name, c.head) for c in first if c.body[0] in free]
     assume(agents)
     entries = [e for e in config.mapping.entries if e[0] in agents and e[2] in agents]
     targets = [(n, e) for n, p in agents.items() for e in p.externals]
     script = []
     if targets:
         entry = st.tuples(st.integers(0, 8), st.sampled_from(targets))
+        if cues:
+            entry = st.tuples(st.integers(0, 8), st.sampled_from(cues)) | entry
         script = draw(st.lists(entry, min_size=1, max_size=6))
     script.sort(key=itemgetter(0))
     return SystemConfig(
         agents,
         EventScript(tuple(ScriptEntry(t, a, e) for t, (a, e) in script)),
         ChannelMapping(tuple(entries)),
-        max_ticks=draw(st.integers(0, 12)),
-        budget=draw(st.integers(1, 4)),
+        max_ticks=draw(st.integers(8, 12) | st.integers(0, 12)),
+        budget=draw(st.just(4) | st.integers(1, 4)),
     )
 
 
@@ -953,8 +977,8 @@ def test_a_quiet_agent_changes_only_the_drops_of_a_run(config, data):
     """Metamorphic: an agent that declares no event and no action leaves
     every other agent's trace, the quiescence and the ticks of a run as
     they were, and adds one drop per routed (producer, action) pair.
-    Few scripted systems perform an action, so half the configs are
-    drawn with a delivery."""
+    Half the configs are drawn with a delivery, which every one of them
+    routes."""
     runner = SystemRunner(config)
     result = runner.run()
     quiet = SystemRunner(data.draw(with_a_quiet_agent(config))).run()
@@ -962,6 +986,39 @@ def test_a_quiet_agent_changes_only_the_drops_of_a_run(config, data):
     assert (quiet.quiescent, quiet.ticks) == (result.quiescent, result.ticks)
     routes = runner._broadcast.routes
     assert quiet.warnings == with_drops_at_the_quiet_agent(result.warnings, routes, "action")
+
+
+@settings(max_examples=150, deadline=None)
+@given(routed_systems(), st.data())
+def test_renamed_agents_give_a_renamed_evolution(config, data):
+    """Metamorphic: a bijection on agent names that keeps the agent
+    order gives the same rounds, fixpoint flag and routes, each under
+    the bijection, so what twin agents share carries no name.  The
+    bijection permutes the config's own names, so an agent may take the
+    name of its twin."""
+    names = list(config.agents)
+    rename = dict(zip(names, data.draw(st.permutations(names))))
+    renamed = SystemConfig(
+        {rename[n]: dataclasses.replace(p, name=rename[n]) for n, p in config.agents.items()},
+        mapping=ChannelMapping(
+            tuple((rename[p], a, rename[c], e) for p, a, c, e in config.mapping.entries)
+        ),
+    )
+    init = draw_init(config, data)
+    trace = evolve_system(config, init)
+    image = evolve_system(renamed, {rename[n]: events for n, events in init.items()})
+
+    def renamed_keys(per_agent):
+        return {rename[n]: value for n, value in per_agent.items()}
+
+    assert [(r.units, r.models) for r in image.rounds] == [
+        (renamed_keys(r.units), renamed_keys(r.models)) for r in trace.rounds
+    ]
+    assert image.reached_fixpoint == trace.reached_fixpoint
+    assert list(image.drops.routes.items()) == [
+        ((rename[p], a), tuple((rename[c], atom) for c, atom in route))
+        for (p, a), route in trace.drops.routes.items()
+    ]
 
 
 @pytest.fixture
@@ -1062,14 +1119,78 @@ class TestEvolution:
             assert f"go_{i + 1}" in trace.rounds[i].models[f"R{i}"]
 
     def test_twins_share_rules_and_closures(self, fan_system, horn_calls):
-        """The fan system's ten consumers have one P', so its eleven
-        agents take two compilations.  Its three rounds close the hub
-        under {kick, now_kick}, then twice under {past_kick}, and every
-        consumer under {}, then {ping, now_ping}, then {past_ping}: five
-        distinct seed sets, so five closures where there are 33 models."""
+        """The fan system's ten consumers differ only in their names, so
+        its eleven agents take two compilations.  Its three rounds close
+        the hub under {kick, now_kick}, then twice under {past_kick}, and
+        every consumer under {}, then {ping, now_ping}, then {past_ping}:
+        five distinct seed sets, so five closures where there are 33
+        models."""
         trace = evolve_system(load_system_config(fan_system), {"Hub": [Atom("kick")]})
         assert len(trace.rounds) == 3 and trace.reached_fixpoint
         assert horn_calls == {"compilations": 2, "closures": 5}
+
+    def test_twins_are_transformed_once(self, fan_system, monkeypatch):
+        """The fan system's ten consumers differ only in their names, so
+        its eleven agents take two transforms, as the benchmark's tracer
+        counts them through `dali.runtime`'s binding of the transform."""
+        monkeypatch.syspath_prepend(BENCH)
+        tracer = importlib.import_module("tracing").Tracer()
+        config = load_system_config(fan_system)
+        with tracer.installed():
+            evolve_system(config, {"Hub": [Atom("kick")]})
+        assert len(tracer.notes("semantics.transform")) == 2
+
+    def test_near_twins_keep_their_own_record(self):
+        """Agents with equal clauses share a record only when they declare
+        the same names.  `e` is external at H and R and internal at I, so
+        the unit `e` gives `now_e` at H and R only; R declares H's
+        actions in the other order, and drops them in its own order.
+        Every round's model is the agent's own snapshot of its units."""
+        declared = {
+            "H": "@external e. @action x. @action y.",
+            "I": "@internal e. @action x. @action y.",
+            "R": "@external e. @action y. @action x.",
+        }
+        config = SystemConfig(
+            {n: parse_agent_file(f"agent {n}. {r} e :> x, y.") for n, r in declared.items()}
+        )
+        trace = evolve_system(config, {n: [Atom("e")] for n in declared})
+        assert trace.reached_fixpoint
+        for rnd in trace.rounds:
+            for name, program in config.agents.items():
+                assert rnd.models[name] == snapshot(program, rnd.units[name])
+        first = trace.rounds[0].models
+        assert "now_e" in first["H"] and "now_e" in first["R"]
+        assert "now_e" not in first["I"]
+        assert dropped(trace.warnings) == [
+            (p, a, c)
+            for p, actions in [("H", "xy"), ("I", "xy"), ("R", "yx")]
+            for a in actions
+            for c in declared
+            if c != p
+        ]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "consumers, mapped", [(1, 0), (1, 1), (9, 0), (9, 4), (9, 9), (120, 24)]
+    )
+    def test_broadcast_fanout_evolves_as_its_closed_form(
+        self, tmp_path, monkeypatch, seed, consumers, mapped
+    ):
+        """The benchmark's hub and consumers, none of them mapped, some
+        or all: every round's models and the fixpoint are those its
+        generator works out without running the interpreter, and every
+        consumer's `log_it` is dropped at every other agent."""
+        monkeypatch.syspath_prepend(BENCH)
+        workloads = importlib.import_module("workloads")
+        w = workloads.broadcast_fanout(seed, consumers=consumers, mapped=mapped)
+        for name, text in w.files.items():
+            (tmp_path / name).write_text(text)
+        config = load_system_config(tmp_path / w.system_file)
+        trace = evolve_system(config, {a: [Atom(e) for e in es] for a, es in w.init.items()})
+        assert trace.reached_fixpoint
+        assert [r.models for r in trace.rounds] == list(w.rounds)
+        assert len(trace.warnings) == w.warnings
 
     def test_each_init_is_built_once(self, fan_system, monkeypatch):
         """Of the fan system's eleven agents only the hub has an init,
@@ -1089,7 +1210,8 @@ class TestEvolution:
         round after round.  Brute force over the trace's rounds: each
         agent's P' rebuilt from that round's units splits into its rules
         and its unit clauses, and one evolution compiles once per
-        distinct rules and closes once per distinct (rules, units) pair."""
+        distinct rules (no two agents here differ only in name) and
+        closes once per distinct (rules, units) pair."""
         config = SystemConfig({
             f"R{i}": parse_agent_file(
                 f"agent R{i}. @external go_{i}. @internal rest_{i}. @action go_{i + 1}. "
